@@ -5,11 +5,12 @@ local OEIS dump.
 
 This is the long-run batch job behind the `mine` subcommand, sized well
 beyond the test suite: 2,137,358 classes, each needing an avoider count to
-n = 16 in the wide word layout.  The bulk runs at tens of milliseconds per
-class, but the few thousand five-pattern classes grow Catalan-fast and take
-seconds each: budget days of CPU time in pure Python.  Use --limit for a
-taste, --jobs to spread across cores, and --min-size 1 to also sweep the
-small sets.
+n = 16 in the wide word layout.  Those counts run vectorized: the bulk takes
+about a millisecond per class and the five-pattern classes that grow
+Catalan-fast take up to a few seconds each, about 2 CPU-hours of counting
+in all on a 2-core machine.  The OEIS lookups of the classes that pass the
+growth filter cost more than that.  Use --limit for a taste, --jobs to
+spread across cores, and --min-size 1 to also sweep the small sets.
 
 Usage:
     python scripts/full_s4_sweep.py --oeis /path/to/stripped.gz \

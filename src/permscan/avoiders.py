@@ -9,7 +9,11 @@ Three engines, all producing the avoiders of each length 1..n:
   engine: each avoider carries a bit map over insertion positions saying
   which children avoid, assembled by AND-ing shifted maps of its one-letter
   deletions.  Counting a level is a popcount; materializing children walks
-  the set bits.  O(k) work per avoider.
+  the set bits.  O(k) work per avoider.  The counter steps small levels in
+  Python on packed words, then switches to a numpy step that keeps no words,
+  only maps, letter positions and pointers to each avoider's deletions in
+  the level below (no sort, no search); no word layout bounds it, so n = 16
+  counts on the WIDE layout run vectorized too.
 * ``count_avoiders_lowmem`` - the same recurrence run as a depth-first
   traversal of the inclusion tree, keeping extension maps only along one
   root-to-leaf path (O(n^k) live maps instead of a whole level).
@@ -285,36 +289,49 @@ def _seed_level(pat: PatternSet, layout: PermLayout):
     return [0], [0], [psi]
 
 
-def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
-                   pat: PatternSet, layout: PermLayout):
-    """Build level m+1 (words, partial inverses, extension maps) from level m."""
+def _children(words: list[int], invs: list[int], psis: list[int], new_len: int,
+              k: int, layout: PermLayout) -> tuple[list[int], list[int], list[int]]:
+    """Max-insertion children of a level: their words, partial inverses and
+    parent words, grouped by parent in increasing insertion position."""
     b, mask = layout.bits, layout.mask
-    k = pat.k
-    psi_of = dict(zip(words, psis))
     c_words: list[int] = []
     c_invs: list[int] = []
     c_parents: list[int] = []
-    new_len = m + 1
     for w, iv, psi in zip(words, invs, psis):
         bits = psi
         while bits:
             low = bits & -bits
             i = low.bit_length()
             bits ^= low
-            cw = insert_pos(w, i, new_len, layout)
             ci = iv
             for v in range(max(1, new_len + 1 - k), new_len):
                 shift = b * (v - 1)
-                pos = (ci >> shift) & mask
-                if pos >= i:
+                if (ci >> shift) & mask >= i:
                     ci += 1 << shift
-            ci |= i << (b * (new_len - 1))
-            c_words.append(cw)
-            c_invs.append(ci)
+            c_words.append(insert_pos(w, i, new_len, layout))
+            c_invs.append(ci | (i << (b * (new_len - 1))))
             c_parents.append(w)
-    c_psis: list[int] = []
+    return c_words, c_invs, c_parents
+
+
+def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
+                   pat: PatternSet, layout: PermLayout,
+                   psi_of: dict[int, int] | None = None):
+    """Build level m+1 (words, partial inverses, extension maps) from level m.
+
+    ``psi_of`` maps every length-m avoider the deletions may reach to its
+    extension map; it defaults to the given level.  Children come grouped by
+    parent in increasing insertion position.
+    """
+    k = pat.k
+    if psi_of is None:
+        psi_of = dict(zip(words, psis))
+    new_len = m + 1
     full = (1 << (new_len + 1)) - 1
     check_membership = new_len + 1 <= k
+    b, mask = layout.bits, layout.mask
+    c_words, c_invs, c_parents = _children(words, invs, psis, new_len, k, layout)
+    c_psis: list[int] = []
     for cw, ci, parent in zip(c_words, c_invs, c_parents):
         psi_c = full
         d = parent
@@ -348,134 +365,152 @@ def enumerate_avoiders_fast(pat: PatternSet, n: int,
     layout = pat.layout
     _check_n(n, layout)
     k = pat.k
-    b, mask = layout.bits, layout.mask
     words, invs, psis = _seed_level(pat, layout)
-    for m in range(0, n):
+    for m in range(0, n - 1):
         if not words:
             return
-        if m + 1 < n:
-            nwords, ninvs, npsis = _advance_level(m, words, invs, psis, pat, layout)
-            for w, iv, psi in zip(nwords, ninvs, npsis):
-                sink(AvoiderRecord(
-                    PackedPerm(w, m + 1, layout),
-                    PartialInverse(iv, min(m + 1, k)),
-                    ExtensionMap(psi, m + 2)))
-            words, invs, psis = nwords, ninvs, npsis
-        else:
-            new_len = m + 1
-            for w, iv, psi in zip(words, invs, psis):
-                bits = psi
-                while bits:
-                    low = bits & -bits
-                    i = low.bit_length()
-                    bits ^= low
-                    cw = insert_pos(w, i, new_len, layout)
-                    ci = iv
-                    for v in range(max(1, new_len + 1 - k), new_len):
-                        shift = b * (v - 1)
-                        pos = (ci >> shift) & mask
-                        if pos >= i:
-                            ci += 1 << shift
-                    ci |= i << (b * (new_len - 1))
-                    sink(AvoiderRecord(
-                        PackedPerm(cw, new_len, layout),
-                        PartialInverse(ci, min(new_len, k)),
-                        None))
+        words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
+        for w, iv, psi in zip(words, invs, psis):
+            sink(AvoiderRecord(
+                PackedPerm(w, m + 1, layout),
+                PartialInverse(iv, min(m + 1, k)),
+                ExtensionMap(psi, m + 2)))
+    c_words, c_invs, _ = _children(words, invs, psis, n, k, layout)
+    for cw, ci in zip(c_words, c_invs):
+        sink(AvoiderRecord(PackedPerm(cw, n, layout), PartialInverse(ci, min(n, k)), None))
+
+
+# A level holding fewer avoiders than this is stepped in Python: below it the
+# fixed cost of the numpy step's few dozen array calls exceeds the work saved.
+_VECTOR_MIN_LEVEL = 30
+
+_ONE = np.uint32(1)  # maps are uint32, so the numpy step needs n < 32
 
 
 def count_avoiders_fast(pat: PatternSet, n: int,
                         vectorized: bool | None = None) -> list[int]:
     """[|S_1|, ..., |S_n|] via extension maps; levels are tallied by popcount
-    and the final level is never materialized."""
+    and the final level is never materialized.
+
+    ``_advance_level`` builds the levels below ``_VECTOR_MIN_LEVEL`` avoiders
+    and those whose children's children may be patterns (the membership
+    fix-up); ``_pointer_step`` builds the rest in numpy.  ``vectorized=True``
+    drops the size condition, ``False`` never switches; the counts agree.
+    """
     layout = pat.layout
     _check_n(n, layout)
-    if vectorized is None:
-        vectorized = layout.bits * (n + 1) <= 64 and n + 2 <= 32
-    if vectorized:
-        return _count_fast_numpy(pat, n, layout)
+    k = pat.k
     counts = [0] * n
     words, invs, psis = _seed_level(pat, layout)
+    below = None
     for m in range(0, n):
         counts[m] = sum(psi.bit_count() for psi in psis)
         if m + 1 == n or counts[m] == 0:
+            return counts
+        if (vectorized is not False and below is not None and m + 2 > k
+                and n < 32 and (vectorized or len(words) >= _VECTOR_MIN_LEVEL)):
             break
+        below = words, psis
         words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
-    return counts
-
-
-def _count_fast_numpy(pat: PatternSet, n: int, layout: PermLayout) -> list[int]:
-    b = layout.bits
-    k = pat.k
-    u64 = np.uint64
-    u32 = np.uint32
-    mask64 = u64(layout.mask)
-    one64 = u64(1)
-    b64 = u64(b)
-    counts = [0] * n
-    words0, invs0, psis0 = _seed_level(pat, layout)
-    W = np.array(words0, dtype=np.uint64)
-    INV = np.array(invs0, dtype=np.uint64)
-    PSI = np.array(psis0, dtype=np.uint32)
-    for m in range(0, n):
-        counts[m] = int(np.bitwise_count(PSI).astype(np.int64).sum())
-        if m + 1 == n or counts[m] == 0:
+    psi_b, level = _pointer_level(below, words, invs, psis, m, k, layout)
+    for m in range(m + 1, n):
+        psi_b, level = _pointer_step(psi_b, level, k, maps_only=m + 1 == n)
+        counts[m] = int(np.bitwise_count(level[0]).sum(dtype=np.int64))
+        if counts[m] == 0:
             break
-        new_len = m + 1
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for p in range(1, m + 2):
-            idx = np.nonzero((PSI >> u32(p - 1)) & u32(1))[0]
-            if idx.size == 0:
-                continue
-            Wp = W[idx]
-            low_mask = u64((1 << (b * (p - 1))) - 1)
-            CW = ((Wp & low_mask)
-                  | ((Wp >> u64(b * (p - 1))) << u64(b * p))
-                  | u64(new_len << (b * (p - 1))))
-            CI = INV[idx].copy()
-            for v in range(max(1, new_len + 1 - k), new_len):
-                shift = u64(b * (v - 1))
-                pos = (CI >> shift) & mask64
-                CI += (pos >= u64(p)).astype(np.uint64) << shift
-            CI |= u64(p << (b * m))
-            parts.append((CW, CI, Wp))
-        CW = np.concatenate([t[0] for t in parts])
-        CI = np.concatenate([t[1] for t in parts])
-        PARW = np.concatenate([t[2] for t in parts])
-        order = np.argsort(CW, kind="stable")
-        CW, CI, PARW = CW[order], CI[order], PARW[order]
-        PSIc = np.full(CW.shape, u32((1 << (new_len + 1)) - 1), dtype=np.uint32)
-        D = PARW
-        for r in range(1, min(new_len, k) + 1):
-            vdel = new_len - r + 1
-            q = (CI >> u64(b * (vdel - 1))) & mask64
-            if r > 1:
-                pos_a = (CI >> u64(b * vdel)) & mask64
-                sh_a = (pos_a - one64) * b64
-                low_a = (one64 << sh_a) - one64
-                D = (D & low_a) | ((D >> sh_a) << (sh_a + b64)) | (u64(vdel) << sh_a)
-                sh_b = (q - one64) * b64
-                low_b = (one64 << sh_b) - one64
-                D = (D & low_b) | ((D >> (sh_b + b64)) << sh_b)
-            j = np.searchsorted(W, D)
-            src = PSI[j]
-            qq = q.astype(np.uint32)
-            low_q = (u32(1) << qq) - u32(1)
-            PSIc &= (src & low_q) | ((src >> (qq - u32(1))) << qq)
-        if new_len + 1 <= k:
-            psis_list = PSIc.tolist()
-            cw_list = CW.tolist()
-            for t, (cw, psi_c) in enumerate(zip(cw_list, psis_list)):
-                bits = psi_c
-                while bits:
-                    low = bits & -bits
-                    i = low.bit_length()
-                    bits ^= low
-                    if insert_pos(cw, i, new_len + 1, layout) in pat.words:
-                        psi_c ^= low
-                psis_list[t] = psi_c
-            PSIc = np.array(psis_list, dtype=np.uint32)
-        W, INV, PSI = CW, CI, PSIc
     return counts
+
+
+# Pointer levels.  The numpy step keeps no words.  A level of length-m
+# avoiders is (psi, pos, dele): extension maps (uint32), and for r = 1..k-1
+# the position of the r-th largest letter (uint8) and the index in level m-1
+# of the avoider that deleting it leaves (int32; r = 1 is the parent).  The
+# children of a level are stored grouped by parent in increasing insertion
+# position, so child (p, i) sits at off[p] + popcount(psi[p] below bit i-1).
+
+def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Children per avoider, and where each avoider's children start in the
+    next level."""
+    width = np.bitwise_count(psi)
+    off = np.zeros(psi.size, np.int64)
+    np.cumsum(width[:-1], out=off[1:])
+    return width, off
+
+
+def _pointer_level(below: tuple[list[int], list[int]], words: list[int],
+                   invs: list[int], psis: list[int], m: int, k: int,
+                   layout: PermLayout):
+    """The maps of level m-1 (`below`: its words and maps) and the pointer
+    form of level m, built once from the word lists of ``_advance_level``."""
+    below_words, below_psis = below
+    index = {w: j for j, w in enumerate(below_words)}
+    b, mask = layout.bits, layout.mask
+    pos: list[list[int]] = [[] for _ in range(k - 1)]
+    dele: list[list[int]] = [[] for _ in range(k - 1)]
+    for w, iv in zip(words, invs):
+        for r in range(1, k):
+            pos[r - 1].append((iv >> (b * (m - r))) & mask)
+            dele[r - 1].append(index[_delete_down_word(w, m, r, layout)])
+    level = (np.array(psis, dtype=np.uint32),
+             [np.array(col, dtype=np.uint8) for col in pos],
+             [np.array(col, dtype=np.int32) for col in dele])
+    return np.array(below_psis, dtype=np.uint32), level
+
+
+def _shifted(src: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Maps of deletions, re-indexed by insertion position in the host: the
+    positions just before and just after the deleted letter (q) share a bit."""
+    return (src & ((_ONE << q) - _ONE)) | ((src >> (q - 1)) << q)
+
+
+def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
+    """Level m+1 from level m by following deletion pointers: no words, no
+    sort, no search.
+
+    `psi_b` holds the maps of level m-1 and `level` is level m in pointer
+    form.  Deleting the r-th largest letter (r >= 2) of the child that
+    inserts the maximum into parent p at position i gives the child of
+    g = D_{r-1}(p) at position i' = i - [q < i], where q is that letter's
+    position in p.  Returns the maps of level m and the new level (its maps
+    only with ``maps_only``).  Every deletion of an avoider is an avoider,
+    so a pointer to a position that g's map does not allow means the levels
+    are inconsistent: RuntimeError.
+    """
+    psi, pos, dele = level
+    off_b = _offsets(psi_b)[1]
+    width, off = _offsets(psi)
+    total = int(off[-1]) + int(width[-1])
+    # insertion position of every child: peel the set bits of each map
+    ins = np.empty(total, np.uint8)
+    live = np.flatnonzero(psi)
+    rem, dst = psi[live], off[live]
+    while rem.size:
+        low = rem & (~rem + _ONE)
+        ins[dst] = np.bitwise_count(low - _ONE) + 1
+        rem ^= low
+        keep = rem != 0
+        rem, dst = rem[keep], dst[keep] + 1
+    out = _shifted(np.repeat(psi, width), ins)
+    found = np.ones(total, dtype=bool)
+    new_pos = [ins]
+    new_del = [] if maps_only else [np.repeat(np.arange(psi.size, dtype=np.int32), width)]
+    for r in range(2, k + 1):
+        qp = np.repeat(pos[r - 2], width)
+        g = dele[r - 2]
+        src_b = np.repeat(psi_b[g], width)
+        before = qp < ins
+        sh = ins - before - 1
+        found &= ((src_b >> sh) & _ONE).astype(bool)
+        idx = np.repeat(off_b[g], width) + np.bitwise_count(src_b & ((_ONE << sh) - _ONE))
+        q = qp + ~before
+        out &= _shifted(psi[idx], q)
+        if r < k and not maps_only:
+            new_pos.append(q)
+            new_del.append(idx.astype(np.int32))
+    if not found.all():
+        raise RuntimeError("deletion pointer lands outside its source map: "
+                           "inconsistent avoider levels")
+    return psi, (out, new_pos, new_del)
 
 
 # ---------------------------------------------------------------------------
@@ -514,47 +549,11 @@ def count_avoiders_lowmem(pat: PatternSet, n: int,
     def build_group(group_words, group_invs, group_psis, psi_of, child_len):
         """Extend a group one letter: children words/inverses/maps, plus the
         popcount total that tallies level child_len + 1."""
-        c_words: list[int] = []
-        c_invs: list[int] = []
-        c_parents: list[int] = []
-        for w, iv, psi in zip(group_words, group_invs, group_psis):
-            bits = psi
-            while bits:
-                low = bits & -bits
-                i = low.bit_length()
-                bits ^= low
-                cw = insert_pos(w, i, child_len, layout)
-                ci = iv
-                for v in range(max(1, child_len + 1 - k), child_len):
-                    shift = b * (v - 1)
-                    pos = (ci >> shift) & mask
-                    if pos >= i:
-                        ci += 1 << shift
-                ci |= i << (b * (child_len - 1))
-                c_words.append(cw)
-                c_invs.append(ci)
-                c_parents.append(w)
-        c_psis: list[int] = []
-        total = 0
-        for cw, ci, parent in zip(c_words, c_invs, c_parents):
-            psi_c = (1 << (child_len + 1)) - 1
-            d = parent
-            for r in range(1, min(child_len, k) + 1):
-                vdel = child_len - r + 1
-                q = (ci >> (b * (vdel - 1))) & mask
-                if r > 1:
-                    pos_a = (ci >> (b * vdel)) & mask
-                    d = insert_pos(d, pos_a, vdel, layout)
-                    d = kill_pos(d, q, layout)
-                src = psi_of[d]
-                psi_c &= (src & ((1 << q) - 1)) | ((src >> (q - 1)) << q)
-                if not psi_c:
-                    break
-            c_psis.append(psi_c)
-            total += psi_c.bit_count()
+        c_words, c_invs, c_psis = _advance_level(
+            child_len - 1, group_words, group_invs, group_psis, pat, layout, psi_of)
         state["live"] += len(c_words)
         state["peak"] = max(state["peak"], state["live"])
-        return c_words, c_invs, c_psis, total
+        return c_words, c_invs, c_psis, sum(psi.bit_count() for psi in c_psis)
 
     def visit(v_len, batch_words, batch_invs, batch_psis):
         # batch: the avoiders of length v_len + k - 1 whose smallest v_len

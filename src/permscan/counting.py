@@ -237,7 +237,8 @@ def count_downset(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
     shallower is recomputed here).  Profiles are stored only up to the first
     upfix of the host that is no upfix of any pattern; entries beyond are
     zero and are never requested by longer hosts.  A host whose deletion was
-    never streamed raises ClosureViolationError.
+    never streamed raises ClosureViolationError; a host streamed twice raises
+    ValueError.
     """
     k = pat.k
     layout = pat.layout
@@ -257,6 +258,8 @@ def count_downset(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
         if inv is None or inv.valid_count < min(m, k + 1):
             inv = PartialInverse.from_perm(perm, min(m, k + 1))
         word = perm.word
+        if word in cur:
+            raise ValueError(f"host {perm} streamed twice")
         inv_word = inv.word
         g = _scan_words(word, m, inv_word, min(k, m), pat, layout)
         dels = [0] * (min(g + 1, m) + 1)

@@ -112,6 +112,8 @@ def parse_vincular(text: str) -> VincularPattern:
     letters = []
     for ch in text:
         if ch == "-":
+            if len(letters) in dashes:
+                raise ValueError(f"repeated dash in vincular pattern {text!r}")
             dashes.add(len(letters))
         elif ch.isdigit() and ch != "0":
             letters.append(int(ch))

@@ -314,8 +314,8 @@ def _real_stripped_path():
 @pytest.mark.skipif(_real_stripped_path() is None,
                     reason="no local OEIS stripped file (set PERMSCAN_OEIS_STRIPPED)")
 def test_criterion_9_real_db_match():
-    # needs the wide word layout for n = 16; takes a long while in pure
-    # Python because this avoider class grows Catalan-fast
+    # needs the wide word layout for n = 16; the count runs vectorized and
+    # takes seconds although this avoider class grows Catalan-fast
     db = OeisDb.load(_real_stripped_path())
     pat = PatternSet.parse("2413 4132 1432 1342 1324", WIDE)
     counts = count_avoiders_fast(pat, 16)

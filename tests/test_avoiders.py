@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from permscan.avoiders import (
     ignoring_extension_map,
 )
 from permscan.oracle import hit_census, oracle_contains
-from permscan.permcore import WIDE, insert_up, parse_perm
+from permscan.permcore import NIBBLE, WIDE, insert_up, parse_perm
 from conftest import all_perms, random_pattern_sets
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900]
@@ -231,6 +232,66 @@ def test_wide_layout_engines():
     pat = PatternSet.parse("231", WIDE)
     assert count_avoiders_fast(pat, 16)[:13] == CATALAN
     assert pat.layout is WIDE
+
+
+def test_wide_layout_catalan_n16():
+    catalan_16 = CATALAN + [2674440, 9694845, 35357670]
+    assert count_avoiders_fast(PatternSet.parse("231", WIDE), 16) == catalan_16[:16]
+
+
+# Differential matrix for count_avoiders_fast.  Classes: mixed lengths, a
+# length-2 and a length-1 pattern, the Erdos-Szekeres dead levels, a class
+# whose levels never reach the numpy switch size, and two that cross it.
+MATRIX_SETS = ("132 4321", "12 321 4321", "21 123", "1 12", "123 321",
+               "123 132 231", "123 132")
+
+
+@pytest.mark.parametrize("text", MATRIX_SETS)
+def test_count_fast_paths_agree(text):
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for n in sorted({pat.k - 1, pat.k, pat.k + 1, 15, 16}):
+            if not 1 <= n <= layout.capacity:
+                continue
+            want = count_avoiders_fast(pat, n, vectorized=False)
+            assert count_avoiders_fast(pat, n, vectorized=True) == want, (layout, n)
+            assert count_avoiders_fast(pat, n) == want, (layout, n)
+
+
+def test_count_fast_matrix_spans_the_switch():
+    from permscan.avoiders import _VECTOR_MIN_LEVEL
+
+    def largest_level(text):
+        return max(count_avoiders_fast(PatternSet.parse(text), 14, vectorized=False))
+
+    assert largest_level("123 132 231") < _VECTOR_MIN_LEVEL
+    assert largest_level("123 132") >= _VECTOR_MIN_LEVEL
+    assert largest_level("132 4321") >= _VECTOR_MIN_LEVEL
+
+
+def test_count_fast_wide_n20():
+    pat = PatternSet.parse("132 4321", WIDE)
+    assert count_avoiders_fast(pat, 20) == count_avoiders_fast(pat, 20, vectorized=False)
+
+
+def test_inconsistent_level_fails_loudly(monkeypatch):
+    import permscan.avoiders as av
+
+    real_step = av._pointer_step
+    calls = []
+
+    def corrupting_step(psi_b, level, k, maps_only=False):
+        psi_b, level = real_step(psi_b, level, k, maps_only)
+        if not calls:
+            # the first step builds the length-3 avoiders of 231; claim that
+            # every insertion into the first of them avoids
+            level[0][0] = 0b1111
+        calls.append(1)
+        return psi_b, level
+
+    monkeypatch.setattr(av, "_pointer_step", corrupting_step)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        count_avoiders_fast(PatternSet.parse("231"), 8, vectorized=True)
 
 
 def test_erdos_szekeres_dead_levels():

@@ -202,6 +202,16 @@ def test_count_downset_closure_violation():
                        (parse_perm("1"), None)], PatternSet.parse("12"))
 
 
+def test_count_downset_rejects_duplicate_host():
+    one = parse_perm("1")
+    with pytest.raises(ValueError, match="twice"):
+        count_downset([(one, None), (one, None)], PatternSet.parse("12"))
+    twelve = parse_perm("12")
+    with pytest.raises(ValueError, match="twice"):
+        count_downset([(one, None), (twelve, None), (parse_perm("21"), None),
+                       (twelve, None)], PatternSet.parse("12"))
+
+
 def test_count_downset_full_sn_matches_count_all():
     pat = PatternSet.parse("132 321")
     stream = [(p, None) for m in range(1, 7) for p in all_perms(m)]

@@ -178,6 +178,13 @@ def test_vincular_parse_and_convert():
             parse_vincular(bad)
 
 
+def test_vincular_parse_rejects_repeated_dashes():
+    for bad in ("1--2", "--12", "12--", "-1--2-"):
+        with pytest.raises(ValueError, match="repeated dash"):
+            parse_vincular(bad)
+    assert parse_vincular("-1-2-").dashes == frozenset({0, 1, 2})
+
+
 def oracle_vincular(tau, v):
     k = v.pattern.length
     n = tau.length
