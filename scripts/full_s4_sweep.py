@@ -9,8 +9,13 @@ n = 16 in the wide word layout.  Those counts run vectorized: the bulk takes
 about a millisecond per class and the five-pattern classes that grow
 Catalan-fast take up to a few seconds each, about 2 CPU-hours of counting
 in all on a 2-core machine.  The OEIS lookups of the classes that pass the
-growth filter cost more than that.  Use --limit for a taste, --jobs to
-spread across cores, and --min-size 1 to also sweep the small sets.
+growth filter cost far less: each one is a binary search over a term index
+of the dump plus a few exact comparisons, and the index is built once, on
+the first lookup.  Counting runs in --jobs processes; the growth filter and
+the lookups (``sequences.mine_row``, as in ``permscan mine``) run in this
+one.  Use --limit for a taste, --jobs to spread counting across cores, and
+--min-size 1 to also sweep the small sets.  The last line on stderr splits
+the time between counting and lookup.
 
 Usage:
     python scripts/full_s4_sweep.py --oeis /path/to/stripped.gz \
@@ -28,11 +33,9 @@ from permscan.avoiders import PatternSet, count_avoiders_fast
 from permscan.permcore import PackedPerm, layout_for
 from permscan.sequences import (
     FIRST_TERM_N,
-    MineRow,
     OeisDb,
     enumerate_symmetry_classes,
-    growth_degree,
-    oeis_match,
+    mine_row,
     write_report,
 )
 
@@ -88,26 +91,15 @@ def main():
                 print(f"  {i + 1}/{len(payloads)} classes "
                       f"({rate:.0f}/s)", file=sys.stderr)
 
-    rows = []
-    for cls, terms in zip(classes, sequences):
-        try:
-            degree = growth_degree(terms)
-            checked = True
-        except ValueError:
-            degree, checked = None, False
-        filtered = checked and degree is not None
-        anum = shift = None
-        if not filtered and db is not None:
-            hit = oeis_match(terms, db)
-            if hit:
-                anum, shift = hit
-        rows.append(MineRow(cls, terms, degree, checked, filtered, anum, shift))
+    t1 = time.time()
+    rows = [mine_row(cls, terms, db) for cls, terms in zip(classes, sequences)]
+    t2 = time.time()
 
     with open(args.out, "w", encoding="utf-8") as fh:
         write_report(rows, fh)
     matched = sum(1 for r in rows if r.anum is not None)
-    print(f"done in {time.time() - t0:.0f}s; {matched} rows matched OEIS",
-          file=sys.stderr)
+    print(f"done in {time.time() - t0:.1f}s (counting {t1 - t0:.1f}s, "
+          f"lookup {t2 - t1:.1f}s); {matched} rows matched OEIS", file=sys.stderr)
 
 
 if __name__ == "__main__":

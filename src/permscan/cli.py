@@ -169,10 +169,31 @@ def cmd_vincular_count(args) -> int:
 # ---------------------------------------------------------------------------
 # mine
 
+PROGRESS_INTERVAL_S = 10.0
+
+
+def _mine_progress():
+    """A ``sq.mine`` progress callback: one stderr line, at most every
+    PROGRESS_INTERVAL_S seconds, with the classes done and their rate."""
+    start = last = time.monotonic()
+
+    def report(done: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= PROGRESS_INTERVAL_S:
+            last = now
+            elapsed = now - start
+            print(f"mine: {done} classes in {elapsed:.1f}s "
+                  f"({done / max(elapsed, 1e-9):.1f} classes/s)", file=sys.stderr)
+
+    return report
+
+
 def cmd_mine(args) -> int:
     db = sq.OeisDb.load(args.oeis) if args.oeis else None
     rows = sq.mine(args.pattern_length, args.min_set_size, args.max_n, db,
-                   max_shift=args.max_shift, min_overlap=args.min_overlap)
+                   max_shift=args.max_shift, min_overlap=args.min_overlap,
+                   progress=_mine_progress())
     out = _open_out(args)
     try:
         sq.write_report(rows, out)

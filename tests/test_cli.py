@@ -1,6 +1,9 @@
 import gzip
+import io
+import time
 
 from permscan import cli
+from permscan.sequences import OeisDb, mine, write_report
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +142,37 @@ def test_mine_cli(capsys, tmp_path):
     catalan = [l for l in lines if l.startswith("123,")]
     assert catalan and ",A000108,5" in catalan[0]
 
+
+def test_mine_rejects_degenerate_lookup_args(capsys):
+    for flag, value in (("--min-overlap", "0"), ("--min-overlap", "-3"),
+                        ("--max-shift", "-1")):
+        code, out, err = run_cli(capsys, "mine", "--pattern-length", "3",
+                                 "--max-n", "10", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+
+def test_mine_progress_leaves_stdout_unchanged(capsys, monkeypatch, tmp_path):
+    line = "A000108 ,1,1,2,5,14,42,132,429,1430,4862,16796,58786,208012,742900,\n"
+    stripped = tmp_path / "stripped"
+    stripped.write_text(line)
+    argv = ("mine", "--pattern-length", "3", "--min-set-size", "1",
+            "--max-n", "10", "--oeis", str(stripped))
+    expected = io.StringIO()
+    write_report(mine(3, 1, 10, OeisDb.parse([line])), expected)
+
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == expected.getvalue()
+    if time.monotonic() - t0 < cli.PROGRESS_INTERVAL_S:
+        assert err == ""
+
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == expected.getvalue()
+    lines = err.splitlines()
+    assert len(lines) == 19  # one per class when every call may report
+    assert lines[-1].startswith("mine: 19 classes in ")
 
 def test_bench_format(capsys):
     code, out, _ = run_cli(capsys, "bench", "--algos", "fast,oracle",

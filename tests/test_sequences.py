@@ -1,14 +1,20 @@
 import gzip
 import io
+import os
 import random
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permscan.avoiders import PatternSet, count_avoiders_fast
-from permscan.permcore import parse_perm
+from permscan.permcore import PackedPerm, layout_for, parse_perm
 from permscan.sequences import (
+    _HASH_BITS,
     OeisDb,
     OeisEntry,
     OeisFormatError,
@@ -19,6 +25,7 @@ from permscan.sequences import (
     enumerate_symmetry_classes,
     growth_degree,
     mine,
+    mine_row,
     oeis_match,
     symmetry_group,
     write_report,
@@ -188,6 +195,102 @@ def test_match_independent_of_load_order():
     assert oeis_match(q, OeisDb.parse([b, a])) == (10, 0)
 
 
+def scan_match(terms, db, max_shift=14, min_overlap=8):
+    """The linear scan over every entry and shift that ``oeis_match`` used
+    before its term index: the reference for its answers."""
+    q = list(terms)
+    if not q:
+        return None
+    for entry in db._sorted:
+        e = entry.terms
+        for s in range(0, max_shift + 1):
+            overlap = min(len(q), len(e) - s)
+            if overlap < min(len(q), min_overlap):
+                break
+            if all(e[s + j] == q[j] for j in range(overlap)):
+                return entry.anum, s
+    return None
+
+
+def _random_db(rng, size):
+    """Entries over a small alphabet, so that queries cut from them match
+    often, at several shifts and under several A-numbers.  The alphabet holds
+    negative terms, terms above 2**64 and pairs that share the index's hash
+    key (equal low bits)."""
+    base = [0, 1, 2, 5, -1, -7, 2**64 + 3, 3 * 2**70 - 1]
+    alphabet = base + [t + (1 << _HASH_BITS) for t in base[:4]] + [2**64 + 1]
+    lines = {}
+    while len(lines) < size:
+        anum = rng.randrange(1, 400_000)
+        kind = rng.random()
+        if kind < 0.15 and lines:  # the terms of another entry: equal matches
+            terms = rng.choice(list(lines.values()))
+        elif kind < 0.3:  # periodic: matches at several shifts
+            period = [rng.choice(alphabet) for _ in range(rng.randint(1, 3))]
+            terms = (period * 20)[:rng.randint(0, 30)]
+        else:  # lengths from empty to beyond max_shift + query
+            terms = [rng.choice(alphabet[:rng.randint(2, len(alphabet))])
+                     for _ in range(rng.randint(0, 35))]
+        lines[anum] = terms
+    order = list(lines.items())
+    rng.shuffle(order)  # A-numbers out of order in the file
+    return OeisDb.parse([f"A{a:06d} ," + "".join(f"{t}," for t in ts) + "\n"
+                         for a, ts in order])
+
+
+def _random_query(rng, db):
+    if rng.random() < 0.2:
+        return [rng.choice([0, 1, 2, -1, 2**64 + 3]) for _ in range(rng.randint(1, 14))]
+    e = rng.choice(db.entries).terms
+    s = rng.randint(0, max(0, len(e) - 1))
+    q = list(e[s:s + rng.randint(1, 20)]) or [1]
+    if rng.random() < 0.3:  # same hash key, different term
+        j = rng.randrange(len(q))
+        q[j] += rng.choice([1 << _HASH_BITS, -(1 << _HASH_BITS), 2**64])
+    return q
+
+
+@pytest.mark.parametrize("max_shift", [0, 3, 14, 20])
+@pytest.mark.parametrize("min_overlap", [1, 7, 8])
+def test_oeis_match_agrees_with_scan(max_shift, min_overlap):
+    rng = random.Random(f"{max_shift}-{min_overlap}")
+    hits = 0
+    for _ in range(6):
+        db = _random_db(rng, rng.randint(1, 60))
+        for _ in range(60):
+            q = _random_query(rng, db)
+            want = scan_match(q, db, max_shift, min_overlap)
+            assert oeis_match(q, db, max_shift, min_overlap) == want, q
+            hits += want is not None
+    assert hits > 50  # the queries do reach matches
+
+
+def test_oeis_match_hash_collisions():
+    t = 7
+    clash = t + (1 << _HASH_BITS)
+    tail = [3, 1, 4, 1, 5, 9, 2, 6]
+    db = OeisDb.parse([f"A000001 ,{clash}," + ",".join(map(str, tail)) + ",\n",
+                       f"A000002 ,{t + 2**64}," + ",".join(map(str, tail)) + ",\n",
+                       f"A000003 ,9,{t}," + ",".join(map(str, tail)) + ",\n"])
+    # A000001 and A000002 share the key of q[0] at shift 0 and must be rejected
+    assert oeis_match([t] + tail, db) == (3, 1) == scan_match([t] + tail, db)
+    assert oeis_match([clash] + tail, db) == (1, 0)
+    assert oeis_match([t - (1 << _HASH_BITS)] + tail, db) is None
+
+
+def test_oeis_match_rejects_degenerate_args():
+    db = OeisDb.parse(["A000005 ,1,2,3,\n"])
+    q = [4, 5, 6, 7, 8, 9, 10, 11, 12]
+    for kwargs in ({"min_overlap": 0}, {"min_overlap": -2}, {"max_shift": -1}):
+        with pytest.raises(ValueError):
+            oeis_match(q, db, **kwargs)
+        with pytest.raises(ValueError):
+            mine(3, 1, 10, None, **kwargs)
+    assert oeis_match(q, db, min_overlap=1) is None
+    assert oeis_match([2, 3], db, max_shift=0) is None
+    assert oeis_match([2, 3], db, max_shift=1) == (5, 1)
+    assert oeis_match([1], OeisDb([])) is None
+
 def test_avoidance_record():
     rec = avoidance_record([parse_perm("231")], 10)
     assert rec.n_max == 10 and len(rec.terms) == 6
@@ -227,3 +330,48 @@ def test_mine_empty_db_and_reports():
     buf2 = io.StringIO()
     write_report(mine(3, 5, 10, None), buf2)
     assert buf.getvalue() == buf2.getvalue()
+
+
+def test_sweep_script_matches_library(tmp_path):
+    """``scripts/full_s4_sweep.py`` writes, with one counting process or
+    two, the report of ``mine_row`` over the same classes."""
+    classes = list(islice(enumerate_symmetry_classes(4, 5), 40))
+    layout = layout_for(16)
+    seqs = []
+    for c in classes:
+        pat = PatternSet.build([PackedPerm.from_letters(p.letters(), layout) for p in c])
+        seqs.append(tuple(count_avoiders_fast(pat, 16)[4:]))
+    # plant some sequences at shifts, one truncated, one behind a hash clash
+    rng = random.Random(40)
+    lines = []
+    for i, terms in enumerate(seqs[::4]):
+        junk = [rng.randrange(1000) for _ in range(i % 15)]
+        body = list(terms[:8] if i == 2 else terms)
+        if i == 3:
+            body[0] += 1 << _HASH_BITS
+        lines.append(f"A{1000 + 7 * i:06d} ," + ",".join(map(str, junk + body)) + ",\n")
+    stripped = tmp_path / "stripped"
+    stripped.write_text("# synthetic\n" + "".join(lines))
+    db = OeisDb.load(str(stripped))
+    expected = io.StringIO()
+    rows = [mine_row(c, t, db) for c, t in zip(classes, seqs)]
+    write_report(rows, expected)
+    assert sum(r.anum is not None for r in rows) >= 3
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"sweep{jobs}.csv"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "full_s4_sweep.py"),
+             "--limit", "40", "--oeis", str(stripped), "--out", str(out),
+             "--jobs", str(jobs)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert "counting" in last and "lookup" in last
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == expected.getvalue().encode()
