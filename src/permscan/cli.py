@@ -117,7 +117,7 @@ def cmd_count(args) -> int:
     n = args.max_n
     engine = args.engine
     if engine == "auto":
-        engine = "single-fast" if len(pat) == 1 else "standard"
+        engine = "standard" if n <= ct._DENSE_MAX_N else "lowmem"
     if engine == "single-fast":
         if len(pat) != 1:
             raise ValueError("--engine single-fast needs exactly one pattern")
@@ -292,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_count)
     p_count.add_argument("--engine", choices=["auto", "standard", "single-fast", "lowmem"],
                          default="auto",
-                         help="auto routes single patterns to the constant-"
-                              "time-per-permutation path")
+                         help="auto runs standard (whole levels in memory) up "
+                              "to max-n 11 and lowmem above, for any number of "
+                              "patterns; single-fast is the pure-Python "
+                              "single-pattern reference")
     p_count.add_argument("--histogram", action="store_true",
                          help="accepted for compatibility; histogram rows are "
                               "the only output format")

@@ -11,15 +11,17 @@ Engines:
 
 * ``count_all`` - every permutation of lengths 1..n.  Hosts are indexed by
   their max-insertion history (a mixed-radix code), which makes each level a
-  dense array and each deletion an index computation, so whole levels run as
-  vector operations.
+  dense array; each deletion rewrites only the last digits of the code, so
+  the profile step gathers the level below through a small table per
+  (length, rank) and whole levels run as vector operations.
 * ``count_downset`` - any streamed downset, hash-table based.
 * ``count_single_fast`` - single pattern: stops computing the profile at the
   first upfix of the host that is not an upfix of the pattern (everything
   above is zero and is never needed again), giving amortized O(1) per host.
 * ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
   traversal of the inclusion tree that keeps profile batches only along one
-  root-to-leaf path.
+  root-to-leaf path; each batch takes the same table-gather step.
+  ``vincular.covincular_count_all`` runs both with a pass-through set.
 * ``build_bounded_hits`` - the permutations with at most j hits, built
   bottom-up with rejection, together with their profiles.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Callable, Iterable
 
 import numpy as np
@@ -144,83 +147,134 @@ def count_profile(p: PackedPerm, pat: PatternSet,
 # Level m is ordered by insertion code: a permutation's index is
 # I(parent) * m + (position of the maximum - 1), so the index is a
 # mixed-radix numeral whose digit for letter t is t's insertion position.
-# Deleting a letter rewrites a bounded suffix of those digits, which is pure
-# index arithmetic and vectorizes over a whole level.
+# Deleting the letter v rewrites only the digits of letters v..m (the
+# suffix).  The deletion's index in level m-1 is therefore
+# prefix * S' + T[suffix], where T is a table of m(m-1)...v entries and S'
+# counts the suffixes one level down, and a whole level gathers as
+# prev.reshape(-1, S').take(T, axis=1).
+#
+# Profiles are int32: P_i is at most the hit count, and a host of length
+# n <= 25 has at most 2^n <= 2^25 hits (one per subset of its letters).
 
 _DENSE_MAX_N = 11  # level arrays are m!-sized; beyond this use count_all_lowmem
 
 
-def _membership_vector(pat: PatternSet, m: int, layout: PermLayout) -> np.ndarray:
+def _check_n(n: int, layout: PermLayout) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > layout.capacity:
+        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
+
+
+def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
     """[word in Pi] for level m <= k, in insertion-code order."""
     words = [0]
     for t in range(1, m + 1):
-        words = [insert_pos(w, i, t, layout) for w in words for i in range(1, t + 1)]
+        words = [insert_pos(w, i, t, pat.layout) for w in words for i in range(1, t + 1)]
     return np.fromiter((1 if w in pat.words else 0 for w in words),
-                       dtype=np.int64, count=len(words))
+                       dtype=np.int32, count=len(words))
 
 
-def _deletion_index(I: np.ndarray, digits: dict[int, np.ndarray],
-                    prefixes: dict[int, np.ndarray], m: int, rank: int) -> np.ndarray:
-    """Index of each level-m permutation's rank-th down-deletion in level m-1."""
+def _deletion_table(m: int, rank: int) -> np.ndarray:
+    """T over the suffixes (digits of letters v..m, v = m - rank + 1) of a
+    level-m index: the suffix, one level down, left by deleting v."""
     v = m - rank + 1
-    J = prefixes[v]
-    if rank == 1:
-        return J
-    p0 = digits[v] + 1
+    rest = np.arange(prod(range(v, m + 1)))
+    digits = []
+    for t in range(m, v - 1, -1):
+        digits.append(rest % t)
+        rest = rest // t
+    p0 = digits.pop()  # insertion position of v, tracked as letters above arrive
+    T = np.zeros_like(p0)
     for t in range(v + 1, m + 1):
-        c = digits[t] + 1
-        J = J * (t - 1) + (c - (c > p0) - 1)
+        c = digits.pop()
+        T = T * (t - 1) + c - (c > p0)
         p0 = p0 + (c <= p0)
-    return J
+    return T
 
 
-def _dense_levels(pat: PatternSet, n: int, layout: PermLayout):
-    """Yield (m, P_arrays) for m = 1..n; P_arrays[i] is P_i over level m in
-    insertion-code order, for i = 0..min(k, m)."""
-    k = pat.k
-    prev: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    size = 1
-    for m in range(1, n + 1):
-        size *= m
-        I = np.arange(size, dtype=np.int64)
-        max_rank = min(k + 1, m)
-        digits: dict[int, np.ndarray] = {}
-        prefixes: dict[int, np.ndarray] = {}
-        Q = I
-        for t in range(m, m - max_rank, -1):
-            digits[t] = Q % t
-            Q = Q // t
-            prefixes[t] = Q
-        cur: list[np.ndarray | None] = [None] * (min(k, m) + 1)
-        if m <= k:
-            acc = _membership_vector(pat, m, layout)
-            cur[m] = acc
-        else:
-            acc = np.zeros(size, dtype=np.int64)
-        for i in range(min(k, m - 1), -1, -1):
-            J = _deletion_index(I, digits, prefixes, m, i + 1)
-            acc = prev[i][J] + acc
+class _DeletionTables(dict):
+    """(m, rank) -> deletion table, built on first use; one per engine call."""
+
+    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
+        table = self[key] = _deletion_table(*key)
+        return table
+
+
+def _gather(src: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """src (indexed one level below m) at each level-m host's deletion."""
+    sub = table.size // m
+    if sub == 1:
+        return src.repeat(m)
+    return src.reshape(-1, sub).take(table, axis=1).ravel()
+
+
+def _profile_step(top: int, acc: np.ndarray | None, size: int,
+                  through: frozenset[int], gather, keep: bool = True) -> list[np.ndarray]:
+    """P_top..P_0 of a batch of hosts from acc = P_{top+1} (None for zero):
+    P_i = gather(i) + P_{i+1}, where gather(i) is P_i of each host's
+    (i+1)-st down-deletion, or P_i = P_{i+1} for i in ``through`` (the
+    covincular pass-through case).  Unless ``keep``, only P_0 is returned
+    and each P_{i+1} is freed once P_i is built."""
+    cur: list[np.ndarray] = [None] * (top + 1)
+    for i in range(top, -1, -1):
+        if i not in through:
+            g = gather(i)
+            if acc is not None:
+                g += acc
+            acc = g
+        elif acc is None:
+            acc = np.zeros(size, dtype=np.int32)
+        if keep or i == 0:
             cur[i] = acc
+    return cur
+
+
+def _dense_levels(pat: PatternSet, n: int, through: frozenset[int] = frozenset(),
+                  keep_last: bool = False):
+    """Yield (m, P_arrays) for m = 1..n; P_arrays[i] is P_i over level m in
+    insertion-code order, for i = 0..min(k, m).  Level n holds only P_0
+    (and the membership vector when n <= k) unless ``keep_last``."""
+    k = pat.k
+    tables = _DeletionTables()
+    prev = [np.zeros(1, dtype=np.int32)]
+    for m in range(1, n + 1):
+        base = _membership_vector(pat, m) if m <= k else None
+        cur = _profile_step(min(k, m - 1), base, factorial(m), through,
+                            lambda i: _gather(prev[i], tables[m, i + 1], m),
+                            keep=keep_last or m < n)
+        if base is not None:
+            cur.append(base)
         yield m, cur
         prev = cur
 
 
+def _bincount_into(hist: dict[int, np.ndarray], m: int, hits: np.ndarray) -> None:
+    old = hist.get(m, np.zeros(0, dtype=np.intp))
+    hist[m] = counts = np.bincount(hits, minlength=old.size)
+    counts[:old.size] += old
+
+
+def _histogram_tally(hist: dict[int, np.ndarray]) -> CountTally:
+    return CountTally({m: {h: c for h, c in enumerate(counts.tolist()) if c}
+                       for m, counts in sorted(hist.items())})
+
+
+def _dense_tally(pat: PatternSet, n: int,
+                 through: frozenset[int] = frozenset()) -> CountTally:
+    hist: dict[int, np.ndarray] = {}
+    for m, cur in _dense_levels(pat, n, through):
+        _bincount_into(hist, m, cur[0])
+    return _histogram_tally(hist)
+
+
 def count_all(pat: PatternSet, n: int) -> CountTally:
     """Tally of hit counts over every permutation of lengths 1..n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if n > _DENSE_MAX_N:
         raise ValueError(
             f"count_all holds whole m! levels in memory; use count_all_lowmem for n={n}")
-    layout = pat.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
-    tally = CountTally({})
-    for m, cur in _dense_levels(pat, n, layout):
-        vals, mults = np.unique(cur[0], return_counts=True)
-        for v, c in zip(vals.tolist(), mults.tolist()):
-            tally.add(m, v, c)
-    return tally
+    _check_n(n, pat.layout)
+    return _dense_tally(pat, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +369,8 @@ def build_bounded_hits(pat: PatternSet, n: int, budget: int) -> BoundedHits:
     profile rows of rejected candidates are rolled back)."""
     if budget < 0:
         raise ValueError("hit budget must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     layout = pat.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
+    _check_n(n, layout)
     k = pat.k
     b, mask = layout.bits, layout.mask
     result = BoundedHits(budget, {m: set() for m in range(1, n + 1)}, {})
@@ -395,11 +446,8 @@ def count_single_fast(pattern: PackedPerm, n: int,
     computed.
     """
     pat = PatternSet.build([pattern])
-    if n < 1:
-        raise ValueError("n must be at least 1")
     layout = pat.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
+    _check_n(n, layout)
     k = pat.k
     b, mask = layout.bits, layout.mask
     pi_word = pattern.word
@@ -469,90 +517,53 @@ def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> Coun
     computed from its parent's and freed on backtrack.  ``stats`` receives
     ``max_live_profile_rows`` (a row is one host's k+1 profile values).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    layout = pat.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
+    _check_n(n, pat.layout)
+    return _lowmem_tally(pat, n, frozenset(), stats)
+
+
+def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
+                  stats: dict | None) -> CountTally:
     k = pat.k
     if n < k:
         if stats is not None:
             stats["max_live_profile_rows"] = (
-                _factorial(n) + (_factorial(n - 1) if n >= 2 else 0))
-        return count_all(pat, n)
+                factorial(n) + (factorial(n - 1) if n >= 2 else 0))
+        return _dense_tally(pat, n, through)
 
-    tally = CountTally({})
-    base: list[np.ndarray] | None = None
-    for m, cur in _dense_levels(pat, min(k, n), layout):
-        vals, mults = np.unique(cur[0], return_counts=True)
-        for v, c in zip(vals.tolist(), mults.tolist()):
-            tally.add(m, v, c)
-        base = cur
-    assert base is not None
-    state = {"live": base[0].size, "peak": base[0].size}
-
-    def expand(m: int, p: int, parent: list[np.ndarray]) -> list[np.ndarray]:
-        # batch of C^k(u) for u = v ^ p with |v| = m, from the batch of C^k(v)
-        radices = [m + 1 + t for t in range(1, k + 1)]
-        size = 1
-        for r_ in radices:
-            size *= r_
-        L = np.arange(size, dtype=np.int64)
-        digits: dict[int, np.ndarray] = {}
-        Q = L
-        for t in range(k, 0, -1):
-            digits[t] = Q % radices[t - 1]
-            Q = Q // radices[t - 1]
-        child_len = m + 1 + k
-        idx: dict[int, np.ndarray] = {}
-        for rank in range(1, k + 2):
-            if rank <= k:
-                t_star = k + 1 - rank
-                p0 = digits[t_star] + 1
-                J = np.full(size, p - 1, dtype=np.int64)
-                for t in range(2, t_star + 1):
-                    J = J * (m + t) + digits[t - 1]
-                for t in range(t_star + 1, k + 1):
-                    c = digits[t] + 1
-                    J = J * (m + t) + (c - (c > p0) - 1)
-                    p0 = p0 + (c <= p0)
-            else:
-                p0 = np.full(size, p, dtype=np.int64)
-                J = None
-                for t in range(1, k + 1):
-                    c = digits[t] + 1
-                    d2 = c - (c > p0) - 1
-                    J = d2 if J is None else J * (m + t) + d2
-                    p0 = p0 + (c <= p0)
-            idx[rank] = J
-        cur: list[np.ndarray | None] = [None] * (k + 1)
-        acc = np.zeros(size, dtype=np.int64)
-        for i in range(k, -1, -1):
-            acc = parent[i][idx[i + 1]] + acc
-            cur[i] = acc
-        vals, mults = np.unique(cur[0], return_counts=True)
-        for v, c in zip(vals.tolist(), mults.tolist()):
-            tally.add(child_len, v, c)
-        state["live"] += size
-        state["peak"] = max(state["peak"], state["live"])
-        return cur
+    hist: dict[int, np.ndarray] = {}
+    for m, base in _dense_levels(pat, k, through, keep_last=True):
+        _bincount_into(hist, m, base[0])
+    tables = _DeletionTables()
+    live = peak = base[0].size
 
     def visit(m: int, p: int, parent: list[np.ndarray]) -> None:
-        batch = expand(m, p, parent)
-        if m + 1 < n - k:
+        # Batch of C^k(u) for u = v ^ p with |v| = m, from the batch of
+        # C^k(v).  Its hosts are level M = m+1+k of the dense index, below
+        # u's prefix.  Deleting one of the top k letters keeps u's digit p,
+        # so it lands in the parent's rows for p; deleting the (k+1)-st
+        # largest, u's own maximum, drops p and rewrites the digits above, so
+        # the p-block of its table is the parent index itself.
+        nonlocal live, peak
+        M = m + 1 + k
+        top = tables[M, k + 1]
+        size = top.size // (m + 1)
+
+        def gather(i: int) -> np.ndarray:
+            if i == k:
+                return parent[k].take(top[(p - 1) * size:p * size])
+            return _gather(parent[i].reshape(m + 1, -1)[p - 1], tables[M, i + 1], M)
+
+        batch = _profile_step(k, None, size, through, gather)
+        _bincount_into(hist, M, batch[0])
+        live += size
+        peak = max(peak, live)
+        if M < n:
             for p2 in range(1, m + 3):
                 visit(m + 1, p2, batch)
-        state["live"] -= batch[0].size
+        live -= size
 
-    if n - k >= 1:
+    if n > k:
         visit(0, 1, base)
     if stats is not None:
-        stats["max_live_profile_rows"] = state["peak"]
-    return tally
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for t in range(2, m + 1):
-        out *= t
-    return out
+        stats["max_live_profile_rows"] = peak
+    return _histogram_tally(hist)

@@ -135,10 +135,11 @@ def _byte_tables(move: Sequence[int], nbits: int) -> list[np.ndarray]:
     return tables
 
 
-def _canonical_mask_flags(k: int, min_size: int,
-                          include_full: bool) -> tuple[list[PackedPerm], np.ndarray]:
-    """Boolean array over subset masks of S_k marking canonical
-    representatives of classes with at least min_size patterns."""
+def _canonical_masks(k: int, min_size: int, include_full: bool,
+                     ) -> tuple[list[PackedPerm], Iterator[np.ndarray]]:
+    """The patterns of S_k by bit, and the canonical masks (each the largest
+    of its orbit) of classes with at least min_size patterns, as ascending
+    arrays, one per chunk of 2**20 masks, computed as they are consumed."""
     if k > 4:
         raise ValueError("class sweeps enumerate all subsets of S_k; k > 4 "
                          "is astronomically large")
@@ -146,21 +147,23 @@ def _canonical_mask_flags(k: int, min_size: int,
     nbits = len(perms)
     tables = [_byte_tables(mv, nbits) for mv in moves]
     total = 1 << nbits
-    flags = np.zeros(total, dtype=bool)
     chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        keep = np.bitwise_count(idx) >= min_size
-        canon = idx.copy()
-        for tbs in tables:
-            img = tbs[0][idx & np.uint32(255)]
-            for t in range(1, len(tbs)):
-                img |= tbs[t][(idx >> np.uint32(8 * t)) & np.uint32(255)]
-            np.maximum(canon, img, out=canon)
-        flags[canon[keep]] = True
-    if not include_full:
-        flags[total - 1] = False
-    return perms, flags
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+            canon = idx.copy()
+            for tbs in tables:
+                img = tbs[0][idx & np.uint32(255)]
+                for t in range(1, len(tbs)):
+                    img |= tbs[t][(idx >> np.uint32(8 * t)) & np.uint32(255)]
+                np.maximum(canon, img, out=canon)
+            masks = idx[(canon == idx) & (np.bitwise_count(idx) >= min_size)]
+            if not include_full and start + chunk >= total:
+                masks = masks[masks != total - 1]
+            yield masks
+
+    return perms, chunks()
 
 
 def count_symmetry_classes(k: int, min_size: int, include_full: bool = False) -> int:
@@ -171,8 +174,8 @@ def count_symmetry_classes(k: int, min_size: int, include_full: bool = False) ->
     the avoidance sequence identically zero from n = k on, so the sweep has
     nothing to learn from it.
     """
-    _, flags = _canonical_mask_flags(k, min_size, include_full)
-    return int(flags.sum())
+    _, chunks = _canonical_masks(k, min_size, include_full)
+    return sum(masks.size for masks in chunks)
 
 
 def enumerate_symmetry_classes(k: int, min_size: int,
@@ -181,10 +184,11 @@ def enumerate_symmetry_classes(k: int, min_size: int,
     """Canonical representatives, each sorted ascending by one-line letters,
     in a fixed deterministic order (full set S_k excluded by default, as in
     ``count_symmetry_classes``)."""
-    perms, flags = _canonical_mask_flags(k, min_size, include_full)
-    for mask in np.nonzero(flags)[0].tolist():
-        members = [perms[j] for j in range(len(perms)) if (mask >> j) & 1]
-        yield tuple(sorted(members, key=lambda p: p.letters()))
+    perms, chunks = _canonical_masks(k, min_size, include_full)
+    for masks in chunks:
+        for mask in masks.tolist():
+            members = [perms[j] for j in range(len(perms)) if (mask >> j) & 1]
+            yield tuple(sorted(members, key=lambda p: p.letters()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ The profile recurrence extends the classical one with a pass-through case:
 when the constraint between the i-th and (i+1)-st largest pattern values is
 active (that is, k - i is constrained), a hit using the host's entire
 i-upfix cannot skip the (i+1)-st largest host letter, so P_i = P_{i+1} and
-no deletion term appears.
+no deletion term appears.  ``covincular_count_all`` and
+``covincular_count_set`` run the dense profile step of ``counting`` with
+these pass-through indices; ``covincular_count_downset`` (and
+``covincular_profile``, one host at a time) keep the hash-table form, which
+is also the reference for the dense one.
 
 Only counting is provided.  Building the avoider set with these patterns is
 rejected: deleting a letter can create a covincular hit that was not there,
@@ -23,20 +27,23 @@ construction this package is built on does not apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .avoiders import PatternSet, _scan_words
 from .counting import ClosureViolationError, CountTally, HitProfile
+from .counting import (_DENSE_MAX_N, _bincount_into, _check_n, _dense_levels,
+                       _dense_tally, _histogram_tally, _lowmem_tally)
 from .permcore import (
     PackedPerm,
     PartialInverse,
-    PermCapacityError,
     delete_down,
     delete_down_next,
     insert_pos,
     inverse_perm,
     kill_pos,
-    pack,
 )
 
 
@@ -226,41 +233,25 @@ def _covincular_tally(cov: CovincularPattern, stream, layout,
 def covincular_count_all(cov: CovincularPattern, n: int,
                          stats: dict | None = None) -> CountTally:
     """Tally of covincular hit counts over every permutation of lengths
-    1..n; the upfix cutoff keeps total work proportional to the number of
-    permutations."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    1..n, by the dense profile step of ``counting`` with the pass-through
+    indices of ``cov`` (whole levels up to n = 11, depth-first batches
+    above).  ``stats['profile_entries']`` is the number of P values
+    the step computes: P_0..P_min(k, m) for every host of every length m."""
     layout = cov.pattern.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
-    k = cov.k
-    b, mask = layout.bits, layout.mask
+    _check_n(n, layout)
+    pat = PatternSet.build([cov.pattern])
+    if n <= _DENSE_MAX_N:
+        tally = _dense_tally(pat, n, _through(cov))
+    else:
+        tally = _lowmem_tally(pat, n, _through(cov), None)
+    if stats is not None:
+        stats["profile_entries"] = sum(factorial(m) * (min(cov.k, m) + 1)
+                                       for m in range(1, n + 1))
+    return tally
 
-    def stream():
-        level = [(pack([1], layout), 1)]
-        m = 1
-        while True:
-            for word, inv_word in level:
-                yield word, m, inv_word
-            if m == n:
-                return
-            nxt = []
-            clen = m + 1
-            for word, inv_word in level:
-                for i in range(1, m + 2):
-                    cw = insert_pos(word, i, clen, layout)
-                    ci = inv_word
-                    for v in range(max(1, clen - k), clen):
-                        shift = b * (v - 1)
-                        pos = (ci >> shift) & mask
-                        if pos >= i:
-                            ci += 1 << shift
-                    ci |= i << (b * m)
-                    nxt.append((cw, ci))
-            level = nxt
-            m += 1
 
-    return _covincular_tally(cov, stream(), layout, stats)
+def _through(cov: CovincularPattern) -> frozenset[int]:
+    return frozenset(i for i in range(cov.k + 1) if cov.passes_through(i))
 
 
 def covincular_count_downset(
@@ -285,71 +276,22 @@ def covincular_count_set(patterns: Iterable[CovincularPattern], n: int) -> Count
     """Tally of total hits of several covincular patterns over S_<=n.
 
     Covincular profiles do not combine across patterns the way classical
-    ones do, so each pattern is counted separately and the per-permutation
-    totals are summed before tallying.
+    ones do, so each pattern runs its own dense levels and the
+    per-permutation totals are summed before tallying (whole levels in
+    memory, so n is at most 11).
     """
     covs = list(patterns)
     if not covs:
         raise ValueError("no patterns given")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    layout = covs[0].pattern.layout
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
-    kmax = max(c.k for c in covs)
-    b, mask = layout.bits, layout.mask
-    tally = CountTally({})
-    states = [(c, PatternSet.build([c.pattern]), {0: ()}, {}) for c in covs]
-    level = [(pack([1], layout), 1)]
-    m = 1
-    while True:
-        states = [(c, ps, cur if m > 1 else prev, {})
-                  for (c, ps, prev, cur) in states]
-        for word, inv_word in level:
-            total = 0
-            for c, ps, prev, cur in states:
-                k = c.k
-                g = _scan_words(word, m, inv_word, min(k, m), ps, layout)
-                dels = [0] * (min(g + 1, m) + 1)
-                if len(dels) > 1:
-                    d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
-                    dels[1] = d
-                    for r in range(2, len(dels)):
-                        vdel = m - r + 1
-                        pos_a = (inv_word >> (b * vdel)) & mask
-                        pos_b = (inv_word >> (b * (vdel - 1))) & mask
-                        d = insert_pos(d, pos_a, vdel, layout)
-                        d = kill_pos(d, pos_b, layout)
-                        dels[r] = d
-                prof = [0] * (g + 1)
-                acc = 0
-                for i in range(g, -1, -1):
-                    if i == m:
-                        acc = 1 if word == c.pattern.word else 0
-                    elif not c.passes_through(i):
-                        stored = prev[dels[i + 1]]
-                        acc = (stored[i] if i < len(stored) else 0) + acc
-                    prof[i] = acc
-                cur[word] = tuple(prof)
-                total += prof[0] if prof else 0
-            tally.add(m, total)
-        if m == n:
-            return tally
-        nxt = []
-        clen = m + 1
-        for word, inv_word in level:
-            for i in range(1, m + 2):
-                cw = insert_pos(word, i, clen, layout)
-                ci = inv_word
-                for v in range(max(1, clen - kmax), clen):
-                    shift = b * (v - 1)
-                    pos = (ci >> shift) & mask
-                    if pos >= i:
-                        ci += 1 << shift
-                ci |= i << (b * m)
-                nxt.append((cw, ci))
-        level = nxt
-        m += 1
+    _check_n(n, covs[0].pattern.layout)
+    if n > _DENSE_MAX_N:
+        raise ValueError(f"covincular_count_set holds whole m! levels in memory; n={n}")
+    hist: dict[int, np.ndarray] = {}
+    per_pattern = [_dense_levels(PatternSet.build([c.pattern]), n, _through(c))
+                   for c in covs]
+    for levels in zip(*per_pattern):
+        _bincount_into(hist, levels[0][0], sum(cur[0] for _, cur in levels))
+    return _histogram_tally(hist)
 
 
 def build_covincular_avoiders(*args, **kwargs):

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from permscan.permcore import NIBBLE, PackedPerm
+from permscan.permcore import NIBBLE, PackedPerm, insert_up
 
 
 def all_perms(m, layout=NIBBLE):
@@ -14,6 +14,16 @@ def perms_upto(n, layout=NIBBLE):
     out = []
     for m in range(1, n + 1):
         out.extend(all_perms(m, layout))
+    return out
+
+
+def max_insertion_stream(n, layout=NIBBLE):
+    """Every permutation of lengths 1..n, level by level; each level inserts
+    the new maximum into every position of each member of the level below."""
+    out, level = [], [PackedPerm.empty(layout)]
+    for _ in range(n):
+        level = [insert_up(p, i) for p in level for i in range(1, p.length + 2)]
+        out.extend(level)
     return out
 
 

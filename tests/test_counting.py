@@ -14,9 +14,10 @@ from permscan.counting import (
     count_profile,
     count_single_fast,
 )
-from permscan.oracle import hit_census, oracle_count_hits
-from permscan.permcore import PackedPerm, PartialInverse, parse_perm
-from conftest import all_perms, random_pattern_sets
+from permscan.cli import main
+from permscan.oracle import hit_census, oracle_count_hits, oracle_hit_histogram
+from permscan.permcore import NIBBLE, WIDE, PackedPerm, PartialInverse, parse_perm
+from conftest import all_perms, max_insertion_stream, random_pattern_sets
 
 
 def census_histogram(pat, n):
@@ -303,3 +304,56 @@ def test_count_all_mixed_length_sets():
         assert count_all_lowmem(pat, 6).by_length == want, text
         stream = [(p, None) for m in range(1, 7) for p in all_perms(m)]
         assert count_downset(stream, pat).by_length == want, text
+
+
+# Differential matrix for the counting engines against count_downset over
+# the full max-insertion stream (itself checked against the oracle at n = 6).
+# Sets: mixed lengths, length-1 and length-2 patterns, and 123 321.
+COUNT_MATRIX_SETS = ("132 4321", "12 321 4321", "21 123", "1 12", "1", "21", "123 321")
+
+
+def cli_count_tally(argv, capsys):
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "length,hits,multiplicity"
+    tally = CountTally({})
+    for row in rows[1:]:
+        m, hits, mult = map(int, row.split(","))
+        tally.add(m, hits, mult)
+    return tally.by_length
+
+
+@pytest.mark.parametrize("text", COUNT_MATRIX_SETS)
+def test_counting_engines_matrix(text, capsys):
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        stream = [(p, None) for p in max_insertion_stream(8, layout)]
+        full = count_downset(stream, pat).by_length
+        assert {m: full[m] for m in range(1, 7)} == oracle_hit_histogram(pat, 6)
+        for n in sorted({pat.k - 1, pat.k, pat.k + 1, 8}):
+            if n < 1:
+                continue
+            want = {m: full[m] for m in range(1, n + 1)}
+            assert count_all(pat, n).by_length == want, (layout, n)
+            assert count_all_lowmem(pat, n).by_length == want, (layout, n)
+            if len(pat) == 1:
+                assert count_single_fast(pat.patterns[0], n).by_length == want
+            argv = ["count", "--patterns", text, "--max-n", str(n), "--engine", "auto"]
+            if layout is WIDE:
+                argv.append("--wide")
+            assert cli_count_tally(argv, capsys) == want, (layout, n)
+
+
+def test_auto_engine_routes_by_n(monkeypatch, capsys):
+    import permscan.counting as ct
+
+    calls = []
+    for name in ("count_all", "count_all_lowmem", "count_single_fast"):
+        real = getattr(ct, name)
+        monkeypatch.setattr(ct, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    for text in ("123", "123 321"):
+        cli_count_tally(["count", "--patterns", text, "--max-n", "5"], capsys)
+    monkeypatch.setattr(ct, "_DENSE_MAX_N", 4)
+    cli_count_tally(["count", "--patterns", "123", "--max-n", "5"], capsys)
+    assert calls == ["count_all", "count_all", "count_all_lowmem"]
+

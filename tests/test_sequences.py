@@ -7,6 +7,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -375,3 +376,28 @@ def test_sweep_script_matches_library(tmp_path):
         assert "counting" in last and "lookup" in last
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == expected.getvalue().encode()
+
+
+def test_symmetry_classes_in_mask_order(s4_patterns):
+    """Chunked enumeration: the first classes are the orbit-largest masks in
+    ascending order, the full set goes only on request, and the S_4 count is
+    the paper's."""
+    from permscan.sequences import _group
+
+    perms = sorted(s4_patterns, key=lambda p: p.letters(), reverse=True)
+    bit = {p.word: j for j, p in enumerate(perms)}
+    idx = np.arange(1 << 21, dtype=np.uint32)  # the first two chunks
+    largest = np.bitwise_count(idx) >= 5
+    for g in _group():
+        image = np.zeros_like(idx)
+        for j, p in enumerate(perms):
+            image |= ((idx >> np.uint32(j)) & np.uint32(1)) << np.uint32(bit[g(p).word])
+        largest &= image <= idx
+    want = [tuple(sorted((perms[j] for j in range(24) if (mask >> j) & 1),
+                         key=lambda p: p.letters()))
+            for mask in np.flatnonzero(largest)[:40].tolist()]
+    assert list(islice(enumerate_symmetry_classes(4, 5), 40)) == want
+    assert count_symmetry_classes(3, 6) == 0
+    assert count_symmetry_classes(3, 6, include_full=True) == 1
+    assert count_symmetry_classes(3, 5) == 2  # complements of single patterns
+    assert count_symmetry_classes(4, 5) == 2_137_358

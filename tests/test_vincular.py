@@ -23,7 +23,7 @@ from permscan.vincular import (
     covincular_profile,
     parse_vincular,
 )
-from conftest import all_perms, perms_upto
+from conftest import all_perms, max_insertion_stream, perms_upto
 
 # 20 pairs spanning pattern lengths 2..4 and the main constraint shapes:
 # none, bottom anchor, top anchor, consecutive, everything
@@ -244,3 +244,46 @@ def test_avoider_construction_rejected():
     with pytest.raises(UnsupportedConstructionError):
         build_covincular_avoiders(
             CovincularPattern(parse_perm("123"), frozenset({1})), 5)
+
+
+def test_covincular_count_all_matches_downset_stream():
+    """The dense step with pass-through agrees with the hash-table reference
+    over the full max-insertion stream for every pattern of length <= 4,
+    with seeded adjacency sets that include the anchors 0 and k; the
+    low-memory path, which the public function takes only from n = 12 on,
+    is called directly."""
+    from itertools import permutations
+
+    from permscan.counting import _lowmem_tally
+
+    rng = random.Random(0xC0)
+    streams = {n: [(p, None) for p in max_insertion_stream(n)] for n in (7, 8)}
+    for k in range(1, 5):
+        for letters in permutations(range(1, k + 1)):
+            pattern = PackedPerm.from_letters(letters)
+            inner = [x for x in range(1, k) if rng.random() < 0.5]
+            for adj in (inner, [0, k] + inner):
+                cov = CovincularPattern(pattern, frozenset(adj))
+                n = 8 if letters == tuple(range(1, k + 1)) and 0 in adj else 7
+                want = covincular_count_downset(streams[n], cov).by_length
+                assert covincular_count_all(cov, n).by_length == want, cov
+                through = frozenset(i for i in range(k + 1) if cov.passes_through(i))
+                for m in sorted({max(k - 1, 1), k, k + 1, n}):
+                    got = _lowmem_tally(PatternSet.build([pattern]), m, through, None)
+                    assert got.by_length == {j: want[j] for j in range(1, m + 1)}, (cov, m)
+
+
+def test_covincular_count_all_profile_entries():
+    from math import factorial
+
+    cov = CovincularPattern(parse_perm("132"), frozenset({0, 2}))
+    stats = {}
+    covincular_count_all(cov, 6, stats)
+    assert stats["profile_entries"] == sum(factorial(m) * (min(3, m) + 1)
+                                           for m in range(1, 7))
+
+
+def test_count_set_needs_dense_levels():
+    covs = [CovincularPattern(parse_perm("12"), frozenset({1}))]
+    with pytest.raises(ValueError, match="whole m! levels"):
+        covincular_count_set(covs, 12)
