@@ -28,6 +28,7 @@ from .avoiders import (
     AvoiderRecord,
     ExtensionMap,
     PatternSet,
+    avoider_rows,
     build_avoiders_basic,
     collect_avoider_levels,
     count_avoiders_fast,

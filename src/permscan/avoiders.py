@@ -13,7 +13,10 @@ Three engines, all producing the avoiders of each length 1..n:
   Python on packed words, then switches to a numpy step that keeps no words,
   only maps, letter positions and pointers to each avoider's deletions in
   the level below (no sort, no search); no word layout bounds it, so n = 16
-  counts on the WIDE layout run vectorized too.
+  counts on the WIDE layout run vectorized too.  ``avoider_rows`` lists on
+  the same steps: a level's letters are one gather from its parents' rows
+  plus the new maximum, and ``enumerate_avoiders_fast`` builds its records
+  from those arrays.
 * ``count_avoiders_lowmem`` - the same recurrence run as a depth-first
   traversal of the inclusion tree, keeping extension maps only along one
   root-to-leaf path (O(n^k) live maps instead of a whole level).
@@ -41,7 +44,9 @@ from .permcore import (
     insert_up,
     kill_pos,
     pack,
+    pack_rows,
     parse_perm,
+    unpack,
     upfix,
 )
 
@@ -138,8 +143,9 @@ class ExtensionMap:
 @dataclass(frozen=True)
 class AvoiderRecord:
     """One streamed avoider: the permutation, a partial inverse valid in its
-    top-k values, and its extension map (None at the final level, where maps
-    are never computed)."""
+    top min(length, k) values (blocks below them are zero), and its
+    extension map (None at the final level, where maps are never
+    computed)."""
 
     perm: PackedPerm
     inverse: PartialInverse
@@ -289,10 +295,21 @@ def _seed_level(pat: PatternSet, layout: PermLayout):
     return [0], [0], [psi]
 
 
-def _children(words: list[int], invs: list[int], psis: list[int], new_len: int,
-              k: int, layout: PermLayout) -> tuple[list[int], list[int], list[int]]:
-    """Max-insertion children of a level: their words, partial inverses and
-    parent words, grouped by parent in increasing insertion position."""
+def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
+                   pat: PatternSet, layout: PermLayout,
+                   psi_of: dict[int, int] | None = None):
+    """Build level m+1 (words, partial inverses, extension maps) from level m.
+
+    ``psi_of`` maps every length-m avoider the deletions may reach to its
+    extension map; it defaults to the given level.  Children come grouped by
+    parent in increasing insertion position.
+    """
+    k = pat.k
+    if psi_of is None:
+        psi_of = dict(zip(words, psis))
+    new_len = m + 1
+    full = (1 << (new_len + 1)) - 1
+    check_membership = new_len + 1 <= k
     b, mask = layout.bits, layout.mask
     c_words: list[int] = []
     c_invs: list[int] = []
@@ -311,26 +328,6 @@ def _children(words: list[int], invs: list[int], psis: list[int], new_len: int,
             c_words.append(insert_pos(w, i, new_len, layout))
             c_invs.append(ci | (i << (b * (new_len - 1))))
             c_parents.append(w)
-    return c_words, c_invs, c_parents
-
-
-def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
-                   pat: PatternSet, layout: PermLayout,
-                   psi_of: dict[int, int] | None = None):
-    """Build level m+1 (words, partial inverses, extension maps) from level m.
-
-    ``psi_of`` maps every length-m avoider the deletions may reach to its
-    extension map; it defaults to the given level.  Children come grouped by
-    parent in increasing insertion position.
-    """
-    k = pat.k
-    if psi_of is None:
-        psi_of = dict(zip(words, psis))
-    new_len = m + 1
-    full = (1 << (new_len + 1)) - 1
-    check_membership = new_len + 1 <= k
-    b, mask = layout.bits, layout.mask
-    c_words, c_invs, c_parents = _children(words, invs, psis, new_len, k, layout)
     c_psis: list[int] = []
     for cw, ci, parent in zip(c_words, c_invs, c_parents):
         psi_c = full
@@ -358,28 +355,6 @@ def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
     return c_words, c_invs, c_psis
 
 
-def enumerate_avoiders_fast(pat: PatternSet, n: int,
-                            sink: Callable[[AvoiderRecord], None]) -> None:
-    """Stream every avoider of lengths 1..n to sink, levels in increasing
-    order (order within a level is unspecified)."""
-    layout = pat.layout
-    _check_n(n, layout)
-    k = pat.k
-    words, invs, psis = _seed_level(pat, layout)
-    for m in range(0, n - 1):
-        if not words:
-            return
-        words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
-        for w, iv, psi in zip(words, invs, psis):
-            sink(AvoiderRecord(
-                PackedPerm(w, m + 1, layout),
-                PartialInverse(iv, min(m + 1, k)),
-                ExtensionMap(psi, m + 2)))
-    c_words, c_invs, _ = _children(words, invs, psis, n, k, layout)
-    for cw, ci in zip(c_words, c_invs):
-        sink(AvoiderRecord(PackedPerm(cw, n, layout), PartialInverse(ci, min(n, k)), None))
-
-
 # A level holding fewer avoiders than this is stepped in Python: below it the
 # fixed cost of the numpy step's few dozen array calls exceeds the work saved.
 _VECTOR_MIN_LEVEL = 30
@@ -397,16 +372,79 @@ def count_avoiders_fast(pat: PatternSet, n: int,
     fix-up); ``_pointer_step`` builds the rest in numpy.  ``vectorized=True``
     drops the size condition, ``False`` never switches; the counts agree.
     """
-    layout = pat.layout
-    _check_n(n, layout)
-    k = pat.k
+    _check_n(n, pat.layout)
     counts = [0] * n
+    for m, (tally, _, _) in enumerate(_levels(pat, n, vectorized)):
+        counts[m] = tally
+    return counts
+
+
+def avoider_rows(pat: PatternSet, n: int,
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Every avoider of lengths 1..n as letter arrays, one length at a time.
+
+    Yields, for m = 1..n, a (|S_m|, m) uint8 array whose rows are the
+    one-line letters of the avoiders of length m, and their extension maps
+    (uint32, bit i-1 for insertion position i), None at m = n.  Rows come in
+    ``count_avoiders_fast``'s level order (grouped by the avoider left by
+    deleting the maximum, in increasing insertion position), not sorted.
+    """
+    _check_n(n, pat.layout)
+    m = 0
+    for tally, maps, letters in _levels(pat, n, rows=True):
+        maps = np.asarray(maps, dtype=np.uint32)
+        if m:
+            yield letters, maps
+        m += 1
+    # the level above the last one stepped: one peel of its maps
+    width, off = _offsets(maps)
+    parent = np.repeat(np.arange(maps.size), width)
+    letters = _grow_rows(letters, _insertions(maps, off, tally), parent)
+    for m in range(m, n + 1):
+        yield letters, None if m == n else np.zeros(0, np.uint32)
+        letters = np.zeros((0, m + 1), np.uint8)
+
+
+def enumerate_avoiders_fast(pat: PatternSet, n: int,
+                            sink: Callable[[AvoiderRecord], None]) -> None:
+    """Stream every avoider of lengths 1..n to sink, levels in increasing
+    order (order within a level is unspecified).
+
+    Records are read off ``avoider_rows``: words and partial inverses (valid
+    in the top min(m, k) values) are packed from each level's letters.
+    """
+    layout, k = pat.layout, pat.k
+    for m, (letters, maps) in enumerate(avoider_rows(pat, n), start=1):
+        depth = min(m, k)
+        inv = np.zeros_like(letters)
+        # argsort of a row is its inverse: column v-1 holds where v sits
+        inv[:, m - depth:] = np.argsort(letters, axis=1)[:, m - depth:] + 1
+        psis = [None] * len(letters) if maps is None else maps.tolist()
+        for w, iv, psi in zip(pack_rows(letters, layout), pack_rows(inv, layout), psis):
+            sink(AvoiderRecord(PackedPerm(w, m, layout), PartialInverse(iv, depth),
+                               None if psi is None else ExtensionMap(psi, m + 1)))
+
+
+def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
+            rows: bool = False):
+    """The level schedule that counting and listing share.
+
+    Yields, for m = 0, 1, ..., ``(tally, maps, letters)``: the extension
+    maps of the avoiders of length m (a list of ints while ``_advance_level``
+    steps, a uint32 array once ``_pointer_step`` does), ``tally`` = |S_{m+1}|
+    (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
+    the level, else None.  Stops after level n-1 or after a level with no
+    children.  Without ``rows`` the last step builds maps only.
+    """
+    layout, k = pat.layout, pat.k
     words, invs, psis = _seed_level(pat, layout)
     below = None
     for m in range(0, n):
-        counts[m] = sum(psi.bit_count() for psi in psis)
-        if m + 1 == n or counts[m] == 0:
-            return counts
+        tally = sum(psi.bit_count() for psi in psis)
+        letters = _unpack_rows(words, m, layout) if rows else None
+        yield tally, psis, letters
+        if m + 1 == n or tally == 0:
+            return
         if (vectorized is not False and below is not None and m + 2 > k
                 and n < 32 and (vectorized or len(words) >= _VECTOR_MIN_LEVEL)):
             break
@@ -414,11 +452,32 @@ def count_avoiders_fast(pat: PatternSet, n: int,
         words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
     psi_b, level = _pointer_level(below, words, invs, psis, m, k, layout)
     for m in range(m + 1, n):
-        psi_b, level = _pointer_step(psi_b, level, k, maps_only=m + 1 == n)
-        counts[m] = int(np.bitwise_count(level[0]).sum(dtype=np.int64))
-        if counts[m] == 0:
-            break
-    return counts
+        psi_b, level = _pointer_step(psi_b, level, k, maps_only=not rows and m + 1 == n)
+        maps, pos, dele = level
+        if rows:
+            # the largest letter sits at the insertion position; D_1 is the parent
+            letters = _grow_rows(letters, pos[0], dele[0])
+        tally = int(np.bitwise_count(maps).sum(dtype=np.int64))
+        yield tally, maps, letters
+        if tally == 0:
+            return
+
+
+def _unpack_rows(words: list[int], m: int, layout: PermLayout) -> np.ndarray:
+    return np.array([unpack(w, m, layout) for w in words],
+                    dtype=np.uint8).reshape(len(words), m)
+
+
+def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Letters of a level's children: row `parent` of `letters` with the new
+    maximum inserted at position `ins` (1-based), one child per entry."""
+    m = letters.shape[1]
+    src = np.take(letters, parent, axis=0)
+    out = np.empty((src.shape[0], m + 1), np.uint8)
+    out[:, 1:] = src
+    np.copyto(out[:, :m], src, where=np.arange(1, m + 1) < ins[:, None])
+    out[np.arange(out.shape[0]), ins - 1] = m + 1
+    return out
 
 
 # Pointer levels.  The numpy step keeps no words.  A level of length-m
@@ -435,6 +494,22 @@ def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     off = np.zeros(psi.size, np.int64)
     np.cumsum(width[:-1], out=off[1:])
     return width, off
+
+
+def _insertions(psi: np.ndarray, off: np.ndarray, total: int) -> np.ndarray:
+    """Insertion position (1-based, uint8) of each of the `total` children
+    of a level, in the children's order: the set bits of each map, peeled
+    lowest first."""
+    ins = np.empty(total, np.uint8)
+    live = np.flatnonzero(psi)
+    rem, dst = psi[live], off[live]
+    while rem.size:
+        low = rem & (~rem + _ONE)
+        ins[dst] = np.bitwise_count(low - _ONE) + 1
+        rem ^= low
+        keep = rem != 0
+        rem, dst = rem[keep], dst[keep] + 1
+    return ins
 
 
 def _pointer_level(below: tuple[list[int], list[int]], words: list[int],
@@ -479,19 +554,9 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
     psi, pos, dele = level
     off_b = _offsets(psi_b)[1]
     width, off = _offsets(psi)
-    total = int(off[-1]) + int(width[-1])
-    # insertion position of every child: peel the set bits of each map
-    ins = np.empty(total, np.uint8)
-    live = np.flatnonzero(psi)
-    rem, dst = psi[live], off[live]
-    while rem.size:
-        low = rem & (~rem + _ONE)
-        ins[dst] = np.bitwise_count(low - _ONE) + 1
-        rem ^= low
-        keep = rem != 0
-        rem, dst = rem[keep], dst[keep] + 1
+    ins = _insertions(psi, off, int(off[-1]) + int(width[-1]))
     out = _shifted(np.repeat(psi, width), ins)
-    found = np.ones(total, dtype=bool)
+    found = np.ones(ins.size, dtype=bool)
     new_pos = [ins]
     new_del = [] if maps_only else [np.repeat(np.arange(psi.size, dtype=np.int32), width)]
     for r in range(2, k + 1):

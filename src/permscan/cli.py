@@ -18,6 +18,8 @@ import sys
 import time
 from typing import TextIO
 
+import numpy as np
+
 from . import avoiders as av
 from . import counting as ct
 from . import oracle as orc
@@ -28,8 +30,8 @@ from .permcore import (
     WIDE,
     PackedPerm,
     PermCapacityError,
-    format_perm,
     layout_for,
+    pack_rows,
     parse_perm,
 )
 
@@ -56,27 +58,51 @@ def _close_out(fh: TextIO) -> None:
 # ---------------------------------------------------------------------------
 # avoid
 
+_LINE_BLOCK = 1 << 16   # rows formatted per numpy pass
+
+# letter v -> bytes (separator, tens digit, ones digit); NUL marks an unused
+# slot, and the separator is set per level
+_TOKENS = np.zeros((WIDE.capacity + 1, 3), np.uint8)
+_TOKENS[10:, 1] = [ord(str(v)[0]) for v in range(10, WIDE.capacity + 1)]
+_TOKENS[:, 2] = [ord(str(v)[-1]) for v in range(WIDE.capacity + 1)]
+
+
+def _write_level(out: TextIO, m: int, letters: np.ndarray) -> None:
+    """Write one level's avoiders as lines "m,<perm>", sorted by letters,
+    with ``format_perm``'s text: letters concatenated up to length 9,
+    separated by spaces beyond.  Each block of lines is one byte buffer
+    built in numpy, from which the NUL slots are dropped."""
+    letters = letters[np.lexsort(letters.T[::-1])]
+    head = np.frombuffer(f"{m},".encode(), np.uint8)
+    width = head.size + 3 * m + 1
+    for start in range(0, len(letters), _LINE_BLOCK):
+        block = letters[start:start + _LINE_BLOCK]
+        lines = np.empty((len(block), width), np.uint8)
+        lines[:, :head.size] = head
+        lines[:, head.size:-1] = np.take(_TOKENS, block, axis=0).reshape(len(block), 3 * m)
+        if m > 9:
+            lines[:, head.size + 3:-1:3] = ord(" ")
+        lines[:, -1] = ord("\n")
+        flat = lines.ravel()
+        out.write(np.compress(flat != 0, flat).tobytes().decode("ascii"))
+
+
 def cmd_avoid(args) -> int:
     layout = _layout_for_args(args)
     pat = av.PatternSet.parse(args.patterns, layout)
     n = args.max_n
-    enumerate_levels = args.enumerate
-    levels: dict[int, list[PackedPerm]] | None = None
-    if args.engine == "basic" or enumerate_levels:
+    levels: list[np.ndarray] | None = None  # per length m, letters (|S_m|, m)
+    if args.engine == "basic" or args.enumerate:
         if args.engine == "lowmem":
             raise ValueError("--enumerate requires the basic or fast engine "
                              "(the low-memory engine never materializes levels)")
         if args.engine == "basic":
             built = av.build_avoiders_basic(pat, n)
-            levels = {m: sorted(built[m], key=lambda p: p.letters())
-                      for m in range(1, n + 1)}
+            levels = [np.array([p.letters() for p in built[m]], np.uint8).reshape(-1, m)
+                      for m in range(1, n + 1)]
         else:
-            collected: dict[int, list[PackedPerm]] = {m: [] for m in range(1, n + 1)}
-            av.enumerate_avoiders_fast(pat, n,
-                                       lambda rec: collected[rec.perm.length].append(rec.perm))
-            levels = {m: sorted(collected[m], key=lambda p: p.letters())
-                      for m in range(1, n + 1)}
-        counts = [len(levels[m]) for m in range(1, n + 1)]
+            levels = [letters for letters, _ in av.avoider_rows(pat, n)]
+        counts = [len(letters) for letters in levels]
     elif args.engine == "fast":
         counts = av.count_avoiders_fast(pat, n)
     else:
@@ -90,8 +116,8 @@ def cmd_avoid(args) -> int:
             print("oracle-check FAILED: avoider counts disagree", file=sys.stderr)
             return 2
         if levels is not None:
-            for m in range(1, n + 1):
-                if set(levels[m]) != truth[m]:
+            for m, letters in enumerate(levels, start=1):
+                if {PackedPerm(w, m, layout) for w in pack_rows(letters, layout)} != truth[m]:
                     print(f"oracle-check FAILED: avoider set at n={m} disagrees",
                           file=sys.stderr)
                     return 2
@@ -100,9 +126,8 @@ def cmd_avoid(args) -> int:
     try:
         for m in range(1, n + 1):
             out.write(f"{m},{counts[m - 1]}\n")
-            if levels is not None and enumerate_levels:
-                for p in levels[m]:
-                    out.write(f"{m},{format_perm(p)}\n")
+            if args.enumerate:
+                _write_level(out, m, levels[m - 1])
     finally:
         _close_out(out)
     return 0

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 
 class PermCapacityError(ValueError):
     """Permutation does not fit the configured word layout."""
@@ -102,6 +104,20 @@ def pack(letters: Sequence[int], layout: PermLayout = NIBBLE) -> int:
 def unpack(word: int, n: int, layout: PermLayout = NIBBLE) -> tuple[int, ...]:
     b, m = layout.bits, layout.mask
     return tuple((word >> (b * i)) & m for i in range(n))
+
+
+def pack_rows(letters: np.ndarray, layout: PermLayout = NIBBLE) -> list[int]:
+    """``pack`` of every row of a 2-D array of letters, 64 bits of blocks at
+    a time (WIDE words of more than 12 letters exceed 64 bits)."""
+    b = layout.bits
+    per = 64 // b
+    words = [0] * letters.shape[0]
+    for start in range(0, letters.shape[1], per):
+        block = letters[:, start:start + per].astype(np.uint64)
+        shift = np.arange(block.shape[1], dtype=np.uint64) * np.uint64(b)
+        part = np.bitwise_or.reduce(block << shift, axis=1).tolist()
+        words = [w | (p << (b * start)) for w, p in zip(words, part)]
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,17 @@ def enumerate_symmetry_classes(k: int, min_size: int,
     in a fixed deterministic order (full set S_k excluded by default, as in
     ``count_symmetry_classes``)."""
     perms, chunks = _canonical_masks(k, min_size, include_full)
+    # bit j is the j-th pattern in descending letter order, so a mask's bits
+    # read from the top down are its members sorted ascending; each byte of
+    # the (at most 24-bit) masks decodes through a table of member tuples
+    lo, mid, hi = ([tuple(perms[j] for j in range(8 * t + 7, 8 * t - 1, -1)
+                          if (byte >> (j - 8 * t)) & 1 and j < len(perms))
+                    for byte in range(256)] for t in range(3))
     for masks in chunks:
-        for mask in masks.tolist():
-            members = [perms[j] for j in range(len(perms)) if (mask >> j) & 1]
-            yield tuple(sorted(members, key=lambda p: p.letters()))
+        for a, b, c in zip((masks >> np.uint32(16)).tolist(),
+                           ((masks >> np.uint32(8)) & np.uint32(255)).tolist(),
+                           (masks & np.uint32(255)).tolist()):
+            yield hi[a] + mid[b] + lo[c]
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,26 @@ def test_inconsistent_level_fails_loudly(monkeypatch):
         count_avoiders_fast(PatternSet.parse("231"), 8, vectorized=True)
 
 
+def test_inconsistent_listing_fails_loudly(monkeypatch):
+    import permscan.avoiders as av
+
+    real_step = av._pointer_step
+    calls = []
+
+    def corrupting_step(psi_b, level, k, maps_only=False):
+        psi_b, level = real_step(psi_b, level, k, maps_only)
+        if not calls:
+            # the first step builds the 132 length-6 avoiders of 231; claim
+            # that every insertion into the first of them avoids
+            level[0][0] = 0b1111111
+        calls.append(1)
+        return psi_b, level
+
+    monkeypatch.setattr(av, "_pointer_step", corrupting_step)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        enumerate_avoiders_fast(PatternSet.parse("231"), 9, lambda r: None)
+
+
 def test_erdos_szekeres_dead_levels():
     counts = count_avoiders_fast(PatternSet.parse("123 321"), 8)
     assert counts == [1, 2, 4, 4, 0, 0, 0, 0]
@@ -349,3 +369,44 @@ def test_enumerate_single_descending_chain():
     seen = []
     enumerate_avoiders_fast(pat, 4, lambda r: seen.append(str(r.perm)))
     assert seen == ["1", "21", "321", "4321"]
+
+
+@pytest.mark.parametrize("text,n", [("231", 8), ("21 123", 5), ("132 4321", 9)])
+def test_enumerate_records_match_basic(text, n):
+    """Records on both layouts, including a class above the pointer-step
+    switch (132 4321): per level the basic engine's perms, inverses right on
+    the top min(m, k) letters, and sampled maps equal to extension_map."""
+    rng = random.Random(n)
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        basic = build_avoiders_basic(pat, n)
+        by_len = {m: [] for m in range(1, n + 1)}
+        order = []
+        enumerate_avoiders_fast(pat, n, lambda r: (by_len[r.perm.length].append(r),
+                                                   order.append(r.perm.length)))
+        assert order == sorted(order)
+        for m, records in by_len.items():
+            assert len({r.perm for r in records}) == len(records)
+            assert {r.perm for r in records} == basic[m], (layout, m)
+            depth = min(m, pat.k)
+            for r in records:
+                letters = r.perm.letters()
+                assert r.inverse.valid_count == depth
+                for v in range(m - depth + 1, m + 1):
+                    assert r.inverse.position_of(v, layout) == letters.index(v) + 1
+                assert (r.extension_map is None) == (m == n)
+            for r in rng.sample(records, min(3, len(records))) if m < n else ():
+                assert r.extension_map == extension_map(r.perm, pat), (layout, str(r.perm))
+
+
+# count_avoiders_lowmem against count_avoiders_fast: mixed lengths and
+# patterns of length 1 or 2, on both layouts, at n in {k-1, k, k+1, 9}.
+LOWMEM_SETS = ("1", "12", "21", "1 12", "21 123", "132 4321", "12 321 4321")
+
+
+@pytest.mark.parametrize("text", LOWMEM_SETS)
+def test_lowmem_matches_fast_on_both_layouts(text):
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for n in sorted({pat.k - 1, pat.k, pat.k + 1, 9} - {0}):
+            assert count_avoiders_lowmem(pat, n) == count_avoiders_fast(pat, n), (layout, n)

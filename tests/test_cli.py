@@ -2,7 +2,11 @@ import gzip
 import io
 import time
 
+import pytest
+
 from permscan import cli
+from permscan.avoiders import PatternSet, build_avoiders_basic
+from permscan.permcore import format_perm
 from permscan.sequences import OeisDb, mine, write_report
 
 
@@ -53,6 +57,39 @@ def test_avoid_enumerate_sorted_and_deterministic(capsys, tmp_path):
     assert target.read_text() == out
 
 
+# Listing differential matrix: lengths 1 and 2, mixed lengths, the
+# Erdos-Szekeres dead levels, and classes whose levels cross the pointer
+# step's switch; n = 9 and 10 straddle the digit/space text switch.
+LISTING_SETS = ("1", "12", "1 12", "21 123", "123 321", "132 4321", "123 132")
+
+
+@pytest.mark.parametrize("text", LISTING_SETS)
+def test_avoid_enumerate_matches_reference_text(capsys, text):
+    """`avoid --enumerate` prints, for both engines and both layouts, the
+    basic engine's levels sorted by letters and written with format_perm."""
+    k = PatternSet.parse(text).k
+    for n in sorted({k - 1, k, k + 1, 9, 10, 11} - {0}):
+        levels = build_avoiders_basic(PatternSet.parse(text), n)
+        want = "".join(
+            f"{m},{len(levels[m])}\n" + "".join(
+                f"{m},{format_perm(p)}\n" for p in sorted(levels[m], key=lambda p: p.letters()))
+            for m in range(1, n + 1))
+        for engine in ("fast", "basic"):
+            for wide in ((), ("--wide",)):
+                code, out, err = run_cli(capsys, "avoid", "--patterns", text,
+                                         "--max-n", str(n), "--enumerate",
+                                         "--engine", engine, *wide)
+                assert code == 0 and err == ""
+                assert out == want, (engine, wide, n)
+
+
+def test_listing_matrix_crosses_the_switch():
+    from permscan.avoiders import _VECTOR_MIN_LEVEL, count_avoiders_fast
+
+    assert max(count_avoiders_fast(PatternSet.parse("123 132"), 11)) >= _VECTOR_MIN_LEVEL
+    assert max(count_avoiders_fast(PatternSet.parse("132 4321"), 11)) >= _VECTOR_MIN_LEVEL
+
+
 def test_avoid_enumerate_lowmem_rejected(capsys):
     code, out, err = run_cli(capsys, "avoid", "--patterns", "231", "--max-n", "5",
                              "--enumerate", "--engine", "lowmem")
@@ -73,6 +110,20 @@ def test_avoid_oracle_check_catches_bad_engine(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "avoid", "--patterns", "231", "--max-n", "5",
                            "--oracle-check")
     assert code == 2 and "FAILED" in err
+
+
+def test_avoid_enumerate_oracle_check_catches_bad_listing(capsys, monkeypatch):
+    real_rows = cli.av.avoider_rows
+
+    def reversed_rows(pat, n):
+        # reversed 231-avoiders avoid 132: right counts, wrong sets
+        for letters, maps in real_rows(pat, n):
+            yield letters[:, ::-1], maps
+
+    monkeypatch.setattr(cli.av, "avoider_rows", reversed_rows)
+    code, _, err = run_cli(capsys, "avoid", "--patterns", "231", "--max-n", "5",
+                           "--enumerate", "--oracle-check")
+    assert code == 2 and "avoider set at n=3" in err
 
 
 def test_count_rows(capsys):
