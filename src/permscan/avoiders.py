@@ -13,10 +13,12 @@ Three engines, all producing the avoiders of each length 1..n:
   Python on packed words, then switches to a numpy step that keeps no words,
   only maps, letter positions and pointers to each avoider's deletions in
   the level below (no sort, no search); no word layout bounds it, so n = 16
-  counts on the WIDE layout run vectorized too.  ``avoider_rows`` lists on
-  the same steps: a level's letters are one gather from its parents' rows
-  plus the new maximum, and ``enumerate_avoiders_fast`` builds its records
-  from those arrays.
+  counts on the WIDE layout run vectorized too.  A step works through its
+  level in fixed blocks of parents; a count only tallies the maps of its
+  last level (length n-1) and never holds them.
+  ``avoider_rows`` lists on the same steps: a level's letters are one
+  gather from its parents' rows plus the new maximum, and
+  ``enumerate_avoiders_fast`` builds its records from those arrays.
 * ``count_avoiders_lowmem`` - the same recurrence run as a depth-first
   traversal of the inclusion tree, keeping extension maps only along one
   root-to-leaf path (O(n^k) live maps instead of a whole level).
@@ -365,7 +367,9 @@ _ONE = np.uint32(1)  # maps are uint32, so the numpy step needs n < 32
 def count_avoiders_fast(pat: PatternSet, n: int,
                         vectorized: bool | None = None) -> list[int]:
     """[|S_1|, ..., |S_n|] via extension maps; levels are tallied by popcount
-    and the final level is never materialized.
+    and the final level is never materialized: |S_n| is the popcount total
+    of level n-1's maps, which the last ``_pointer_step`` tallies block by
+    block without holding them.
 
     ``_advance_level`` builds the levels below ``_VECTOR_MIN_LEVEL`` avoiders
     and those whose children's children may be patterns (the membership
@@ -434,7 +438,8 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
     steps, a uint32 array once ``_pointer_step`` does), ``tally`` = |S_{m+1}|
     (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
     the level, else None.  Stops after level n-1 or after a level with no
-    children.  Without ``rows`` the last step builds maps only.
+    children.  Without ``rows`` the last ``_pointer_step`` only tallies its
+    level, so that level's maps come as None.
     """
     layout, k = pat.layout, pat.k
     words, invs, psis = _seed_level(pat, layout)
@@ -452,7 +457,11 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
     psi_b, level = _pointer_level(below, words, invs, psis, m, k, layout)
     for m in range(m + 1, n):
-        psi_b, level = _pointer_step(psi_b, level, k, maps_only=not rows and m + 1 == n)
+        last = not rows and m + 1 == n
+        psi_b, level = _pointer_step(psi_b, level, k, maps_only=last)
+        if last:
+            yield level, None, None
+            return
         maps, pos, dele = level
         if rows:
             # the largest letter sits at the insertion position; D_1 is the parent
@@ -486,13 +495,22 @@ def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray) -> np.n
 # of the avoider that deleting it leaves (int32; r = 1 is the parent).  The
 # children of a level are stored grouped by parent in increasing insertion
 # position, so child (p, i) sits at off[p] + popcount(psi[p] below bit i-1).
+# A step builds the children of _BLOCK consecutive parents at a time, so its
+# temporaries are a fixed working set whatever the level's size; only the
+# lookups into the two levels below (their maps and child offsets) span a
+# whole level.  Indices inside a block are intp, as numpy casts an int32
+# index array on every gather; the stored pointers stay int32.  The last
+# level of a count is only tallied, block by block, and never held.
+
+_BLOCK = 1 << 15
+
 
 def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Children per avoider, and where each avoider's children start in the
     next level."""
     width = np.bitwise_count(psi)
     off = np.zeros(psi.size, np.int64)
-    np.cumsum(width[:-1], out=off[1:])
+    np.cumsum(width[:-1], dtype=np.int64, out=off[1:])  # dtype: no uint64 temporary
     return width, off
 
 
@@ -546,36 +564,51 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
     form.  Deleting the r-th largest letter (r >= 2) of the child that
     inserts the maximum into parent p at position i gives the child of
     g = D_{r-1}(p) at position i' = i - [q < i], where q is that letter's
-    position in p.  Returns the maps of level m and the new level (its maps
-    only with ``maps_only``).  Every deletion of an avoider is an avoider,
-    so a pointer to a position that g's map does not allow means the levels
-    are inconsistent: RuntimeError.
+    position in p.  Returns the maps of level m and the new level; with
+    ``maps_only`` (the last level of a count) the new level is never held
+    and its place is taken by its popcount total, |S_{m+2}|.  Every deletion
+    of an avoider is an avoider, so a pointer to a position that g's map
+    does not allow means the levels are inconsistent: RuntimeError.
     """
     psi, pos, dele = level
     off_b = _offsets(psi_b)[1]
-    width, off = _offsets(psi)
-    ins = _insertions(psi, off, int(off[-1]) + int(width[-1]))
-    out = _shifted(np.repeat(psi, width), ins)
-    found = np.ones(ins.size, dtype=bool)
-    new_pos = [ins]
-    new_del = [] if maps_only else [np.repeat(np.arange(psi.size, dtype=np.int32), width)]
-    for r in range(2, k + 1):
-        qp = np.repeat(pos[r - 2], width)
-        g = dele[r - 2]
-        src_b = np.repeat(psi_b[g], width)
-        before = qp < ins
-        sh = ins - before - 1
-        found &= ((src_b >> sh) & _ONE).astype(bool)
-        idx = np.repeat(off_b[g], width) + np.bitwise_count(src_b & ((_ONE << sh) - _ONE))
-        q = qp + ~before
-        out &= _shifted(psi[idx], q)
-        if r < k and not maps_only:
-            new_pos.append(q)
-            new_del.append(idx.astype(np.int32))
-    if not found.all():
-        raise RuntimeError("deletion pointer lands outside its source map: "
-                           "inconsistent avoider levels")
-    return psi, (out, new_pos, new_del)
+    tally = hi = 0
+    if not maps_only:
+        total = int(np.bitwise_count(psi).sum(dtype=np.int64))
+        out = np.empty(total, np.uint32)
+        new_pos = [np.empty(total, np.uint8) for _ in range(k - 1)]
+        new_del = [np.empty(total, np.int32) for _ in range(k - 1)]
+    for a in range(0, psi.size, _BLOCK):
+        blk = slice(a, a + _BLOCK)
+        p = psi[blk]
+        w, o = _offsets(p)
+        lo, hi = hi, hi + int(o[-1]) + int(w[-1])
+        ins = _insertions(p, o, hi - lo)
+        par = np.repeat(np.arange(p.size), w)
+        maps = _shifted(p.take(par), ins)
+        if not maps_only:
+            new_pos[0][lo:hi] = ins
+            np.add(par, a, out=new_del[0][lo:hi])
+        for r in range(2, k + 1):
+            qp = pos[r - 2][blk].take(par)
+            g = dele[r - 2][blk].astype(np.intp)
+            src_b = psi_b[g].take(par)
+            before = qp < ins
+            sh = ins - before - 1
+            if not ((src_b >> sh) & _ONE).all():
+                raise RuntimeError("deletion pointer lands outside its source map: "
+                                   "inconsistent avoider levels")
+            idx = off_b[g].take(par) + np.bitwise_count(src_b & ((_ONE << sh) - _ONE))
+            q = qp + ~before
+            maps &= _shifted(psi.take(idx), q)
+            if r < k and not maps_only:
+                new_pos[r - 1][lo:hi] = q
+                new_del[r - 1][lo:hi] = idx
+        if maps_only:
+            tally += int(np.bitwise_count(maps).sum(dtype=np.int64))
+        else:
+            out[lo:hi] = maps
+    return psi, tally if maps_only else (out, new_pos, new_del)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,100 @@ def test_inconsistent_listing_fails_loudly(monkeypatch):
         enumerate_avoiders_fast(PatternSet.parse("231"), 9, lambda r: None)
 
 
+@pytest.mark.parametrize("text,path,n,block,corrupt", [
+    # 5 length-3 avoiders in blocks of 2: the last sits in block 3
+    ("132", "count", 8, 2, 0b1111),
+    # 132 length-6 avoiders in blocks of 16: the last sits in block 9
+    ("132", "list", 9, 16, 0b1111111),
+    # here a pointer lands one past the end of the level below
+    ("123", "count", 8, 2, 0b1111),
+])
+def test_inconsistent_late_block_fails_loudly(monkeypatch, text, path, n, block, corrupt):
+    """The deletion-pointer check runs on every block, not only the first,
+    and before any pointer is followed."""
+    import permscan.avoiders as av
+
+    real_step = av._pointer_step
+    calls = []
+
+    def corrupting_step(psi_b, level, k, maps_only=False):
+        psi_b, level = real_step(psi_b, level, k, maps_only)
+        if not calls:
+            # claim that every insertion into the level's last avoider avoids
+            level[0][-1] = corrupt
+        calls.append(1)
+        return psi_b, level
+
+    monkeypatch.setattr(av, "_BLOCK", block)
+    monkeypatch.setattr(av, "_pointer_step", corrupting_step)
+    pat = PatternSet.parse(text)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        if path == "count":
+            count_avoiders_fast(pat, n, vectorized=True)
+        else:
+            enumerate_avoiders_fast(pat, n, lambda r: None)
+
+
+# Block-size differential: _pointer_step builds a level _BLOCK parents at a
+# time.  Blocks of one parent, of three, and of a size that ends inside the
+# larger levels must give the same counts, listed rows and pointer levels as
+# one block spanning every level.
+BLOCK_SETS = ("1 12", "21 123", "231", "123 132", "132 4321")
+
+
+def _blocked_run(monkeypatch, pat, n, block, steps):
+    """Counts, listed rows (bytes) and the pointer levels that every
+    ``_pointer_step`` returned (bytes), with blocks of `block` parents."""
+    import permscan.avoiders as av
+
+    monkeypatch.setattr(av, "_BLOCK", block)
+    steps.clear()
+    counts = count_avoiders_fast(pat, n, vectorized=True)
+    rows = [(letters.tobytes(), None if maps is None else maps.tobytes())
+            for letters, maps in av.avoider_rows(pat, n)]
+    levels = [new if isinstance(new, int) else
+              (new[0].tobytes(), [a.tobytes() for a in new[1]],
+               [a.tobytes() for a in new[2]])
+              for new in steps]
+    return counts, rows, levels
+
+
+@pytest.mark.parametrize("text", BLOCK_SETS)
+def test_block_size_does_not_change_levels(monkeypatch, text):
+    import permscan.avoiders as av
+
+    real_step = av._pointer_step
+    steps = []
+
+    def recording_step(psi_b, level, k, maps_only=False):
+        psi_b, new = real_step(psi_b, level, k, maps_only)
+        steps.append(new)
+        return psi_b, new
+
+    monkeypatch.setattr(av, "_pointer_step", recording_step)
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for n in sorted({pat.k - 1, pat.k, pat.k + 1, 12} - {0}):
+            whole = _blocked_run(monkeypatch, pat, n, 1 << 30, steps)
+            assert whole[0] == count_avoiders_fast(pat, n, vectorized=False), (layout, n)
+            # a block of one parent costs a Python round per parent, so the
+            # n = 12 levels (16,796 parents at length 10 for 231) run the
+            # larger blocks only
+            for block in (3, 1000) if n == 12 else (1, 3, 1000):
+                assert _blocked_run(monkeypatch, pat, n, block, steps) == whole, \
+                    (layout, n, block)
+
+
+def test_block_sizes_split_levels():
+    """The differential above reaches the pointer step, and its block of
+    1000 ends inside a level at n = 12."""
+    from permscan.avoiders import _VECTOR_MIN_LEVEL
+
+    levels = count_avoiders_fast(PatternSet.parse("231"), 12, vectorized=False)
+    assert max(levels) >= _VECTOR_MIN_LEVEL
+    assert any(size > 1000 and size % 1000 for size in levels[:-1])
+
+
 def test_erdos_szekeres_dead_levels():
     counts = count_avoiders_fast(PatternSet.parse("123 321"), 8)
     assert counts == [1, 2, 4, 4, 0, 0, 0, 0]
