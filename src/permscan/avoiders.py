@@ -8,14 +8,15 @@ Three engines, all producing the avoiders of each length 1..n:
 * ``count_avoiders_fast`` / ``enumerate_avoiders_fast`` - the extension-map
   engine: each avoider carries a bit map over insertion positions saying
   which children avoid, assembled by AND-ing shifted maps of its one-letter
-  deletions.  Counting a level is a popcount; materializing children walks
-  the set bits.  O(k) work per avoider.  The counter steps small levels in
-  Python on packed words, then switches to a numpy step that keeps no words,
-  only maps, letter positions and pointers to each avoider's deletions in
-  the level below (no sort, no search); no word layout bounds it, so n = 16
-  counts on the WIDE layout run vectorized too.  A step works through its
-  level in fixed blocks of parents; a count only tallies the maps of its
-  last level (length n-1) and never holds them.
+  deletions.  Counting a level is a popcount; materializing children reads
+  the positions of each map's set bits from a table.  O(k) work per
+  avoider.  The counter steps small levels in Python on packed words, then
+  switches to a numpy step that keeps no words, only maps, letter positions
+  and pointers to each avoider's deletions in the level below (no sort, no
+  search); no word layout bounds it, so n = 16 counts on the WIDE layout
+  run vectorized too.  A step works through its level in fixed blocks of
+  parents; a count only tallies the maps of its last level (length n-1)
+  and never holds them.
   ``avoider_rows`` lists on the same steps: a level's letters are one
   gather from its parents' rows plus the new maximum, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -62,12 +64,13 @@ class PatternSet:
     ``upfix_table(i)`` holds the packed standardizations of the i-upfix of
     every pattern with at least i letters; engines use it to recognize, in
     constant time per size, whether a host's i-upfix could still begin a hit.
+    They are built on the first call and kept (the extension-map engine never
+    reads them); not being fields, they take no part in equality or hashing.
     """
 
     patterns: tuple[PackedPerm, ...]
     k: int
     words: frozenset[int]
-    _tables: tuple[frozenset[int], ...]
 
     @classmethod
     def build(cls, patterns: Iterable[PackedPerm]) -> "PatternSet":
@@ -77,12 +80,7 @@ class PatternSet:
             raise ValueError("a pattern set needs at least one pattern")
         if len({p.layout for p in pats}) != 1:
             raise ValueError("patterns mix word layouts")
-        k = max(p.length for p in pats)
-        tables = tuple(
-            frozenset(upfix(p, i).word for p in pats if p.length >= i)
-            for i in range(1, k + 1)
-        )
-        return cls(pats, k, frozenset(by_word), tables)
+        return cls(pats, max(p.length for p in pats), frozenset(by_word))
 
     @classmethod
     def parse(cls, text: str, layout: PermLayout = NIBBLE) -> "PatternSet":
@@ -100,6 +98,11 @@ class PatternSet:
     @property
     def layout(self) -> PermLayout:
         return self.patterns[0].layout
+
+    @cached_property
+    def _tables(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(upfix(p, i).word for p in self.patterns if p.length >= i)
+                     for i in range(1, self.k + 1))
 
     def upfix_table(self, i: int) -> frozenset[int]:
         if 1 <= i <= self.k:
@@ -359,6 +362,8 @@ def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
 
 # A level holding fewer avoiders than this is stepped in Python: below it the
 # fixed cost of the numpy step's few dozen array calls exceeds the work saved.
+# Counting 400 recorded S_4 sweep classes at n = 16 (2-core machine) took
+# 0.67-0.77 s with 15..30 here, in no stable order, and 0.78-0.98 s with 10 or 40+.
 _VECTOR_MIN_LEVEL = 30
 
 _ONE = np.uint32(1)  # maps are uint32, so the numpy step needs n < 32
@@ -400,10 +405,9 @@ def avoider_rows(pat: PatternSet, n: int,
         if m:
             yield letters, maps
         m += 1
-    # the level above the last one stepped: one peel of its maps
-    width, off = _offsets(maps)
-    parent = np.repeat(np.arange(maps.size), width)
-    letters = _grow_rows(letters, _insertions(maps, off, tally), parent)
+    # the level above the last one stepped: its maps give the insertion positions
+    parent, ins = _children(maps)
+    letters = _grow_rows(letters, ins, parent)
     for m in range(m, n + 1):
         yield letters, None if m == n else np.zeros(0, np.uint32)
         letters = np.zeros((0, m + 1), np.uint8)
@@ -439,7 +443,8 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
     (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
     the level, else None.  Stops after level n-1 or after a level with no
     children.  Without ``rows`` the last ``_pointer_step`` only tallies its
-    level, so that level's maps come as None.
+    level, so that level's maps come as None; with ``rows`` it keeps the one
+    pointer rank that ``_grow_rows`` reads.
     """
     layout, k = pat.layout, pat.k
     words, invs, psis = _seed_level(pat, layout)
@@ -457,9 +462,9 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
     psi_b, level = _pointer_level(below, words, invs, psis, m, k, layout)
     for m in range(m + 1, n):
-        last = not rows and m + 1 == n
-        psi_b, level = _pointer_step(psi_b, level, k, maps_only=last)
-        if last:
+        ranks = k - 1 if m + 1 < n else 1 if rows else 0
+        psi_b, level = _pointer_step(psi_b, level, k, ranks)
+        if not ranks:
             yield level, None, None
             return
         maps, pos, dele = level
@@ -499,10 +504,27 @@ def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray) -> np.n
 # temporaries are a fixed working set whatever the level's size; only the
 # lookups into the two levels below (their maps and child offsets) span a
 # whole level.  Indices inside a block are intp, as numpy casts an int32
-# index array on every gather; the stored pointers stay int32.  The last
-# level of a count is only tallied, block by block, and never held.
+# index array on every gather; the stored pointers stay int32.  A child's
+# insertion position, the j-th set bit of its parent's map, is read from
+# _POSITIONS.  The last level of a count is only tallied, block by block,
+# and never held; the last level of a listing keeps only rank 1.
 
 _BLOCK = 1 << 15
+
+
+def _position_table() -> np.ndarray:
+    """Row v lists the 1-based positions of v's set bits, lowest first and
+    zero-padded, for every 16-bit v: rows 2^b.. are rows ..2^b-1 plus b+1."""
+    table = np.zeros((1, 16), np.uint8)
+    for b in range(16):
+        rows = np.arange(1 << b)
+        high = table.copy()
+        high[rows, np.bitwise_count(rows)] = b + 1
+        table = np.concatenate([table, high])
+    return table.reshape(-1)
+
+
+_POSITIONS = _position_table()
 
 
 def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,20 +536,19 @@ def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return width, off
 
 
-def _insertions(psi: np.ndarray, off: np.ndarray, total: int) -> np.ndarray:
-    """Insertion position (1-based, uint8) of each of the `total` children
-    of a level, in the children's order: the set bits of each map, peeled
-    lowest first."""
-    ins = np.empty(total, np.uint8)
-    live = np.flatnonzero(psi)
-    rem, dst = psi[live], off[live]
-    while rem.size:
-        low = rem & (~rem + _ONE)
-        ins[dst] = np.bitwise_count(low - _ONE) + 1
-        rem ^= low
-        keep = rem != 0
-        rem, dst = rem[keep], dst[keep] + 1
-    return ins
+def _children(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent (intp) and insertion position (1-based, uint8) of each child
+    of a level, in the children's order: the set bits of each map, lowest
+    first.  Child j is entry 16 psi[p] + j - off[p] of _POSITIONS, p its
+    parent; maps of 17 bits or more (n >= 18) are read as two 16-bit maps."""
+    width, off = _offsets(psi)
+    par = np.repeat(np.arange(psi.size), width)
+    if psi.max() >> 16:
+        half, ins = _children(np.stack([psi & np.uint32(0xFFFF), psi >> 16], axis=1).ravel())
+        return par, ins + (half.astype(np.uint8) & 1) * np.uint8(16)
+    idx = ((psi.astype(np.intp) << 4) - off).take(par)
+    idx += np.arange(par.size)
+    return par, _POSITIONS.take(idx)
 
 
 def _pointer_level(below: tuple[list[int], list[int]], words: list[int],
@@ -556,7 +577,7 @@ def _shifted(src: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (src & ((_ONE << q) - _ONE)) | ((src >> (q - 1)) << q)
 
 
-def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
+def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
     """Level m+1 from level m by following deletion pointers: no words, no
     sort, no search.
 
@@ -564,29 +585,29 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
     form.  Deleting the r-th largest letter (r >= 2) of the child that
     inserts the maximum into parent p at position i gives the child of
     g = D_{r-1}(p) at position i' = i - [q < i], where q is that letter's
-    position in p.  Returns the maps of level m and the new level; with
-    ``maps_only`` (the last level of a count) the new level is never held
-    and its place is taken by its popcount total, |S_{m+2}|.  Every deletion
-    of an avoider is an avoider, so a pointer to a position that g's map
-    does not allow means the levels are inconsistent: RuntimeError.
+    position in p.  Returns the maps of level m and the new level, with the
+    pointers of its first `ranks` ranks (k-1 for a level that is stepped
+    again).  With `ranks` = 0 (the last level of a count) the new level is
+    never held and its place is taken by its popcount total, |S_{m+2}|.
+    Every deletion of an avoider is an avoider, so a pointer to a position
+    that g's map does not allow means the levels are inconsistent:
+    RuntimeError.
     """
     psi, pos, dele = level
     off_b = _offsets(psi_b)[1]
     tally = hi = 0
-    if not maps_only:
+    if ranks:
         total = int(np.bitwise_count(psi).sum(dtype=np.int64))
         out = np.empty(total, np.uint32)
-        new_pos = [np.empty(total, np.uint8) for _ in range(k - 1)]
-        new_del = [np.empty(total, np.int32) for _ in range(k - 1)]
+        new_pos = [np.empty(total, np.uint8) for _ in range(ranks)]
+        new_del = [np.empty(total, np.int32) for _ in range(ranks)]
     for a in range(0, psi.size, _BLOCK):
         blk = slice(a, a + _BLOCK)
         p = psi[blk]
-        w, o = _offsets(p)
-        lo, hi = hi, hi + int(o[-1]) + int(w[-1])
-        ins = _insertions(p, o, hi - lo)
-        par = np.repeat(np.arange(p.size), w)
+        par, ins = _children(p)
+        lo, hi = hi, hi + ins.size
         maps = _shifted(p.take(par), ins)
-        if not maps_only:
+        if ranks:
             new_pos[0][lo:hi] = ins
             np.add(par, a, out=new_del[0][lo:hi])
         for r in range(2, k + 1):
@@ -601,14 +622,14 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, maps_only: bool = False):
             idx = off_b[g].take(par) + np.bitwise_count(src_b & ((_ONE << sh) - _ONE))
             q = qp + ~before
             maps &= _shifted(psi.take(idx), q)
-            if r < k and not maps_only:
+            if r <= ranks:
                 new_pos[r - 1][lo:hi] = q
                 new_del[r - 1][lo:hi] = idx
-        if maps_only:
-            tally += int(np.bitwise_count(maps).sum(dtype=np.int64))
-        else:
+        if ranks:
             out[lo:hi] = maps
-    return psi, tally if maps_only else (out, new_pos, new_del)
+        else:
+            tally += int(np.bitwise_count(maps).sum(dtype=np.int64))
+    return psi, (out, new_pos, new_del) if ranks else tally
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,14 @@ def _canonical_masks(k: int, min_size: int, include_full: bool,
     def chunks() -> Iterator[np.ndarray]:
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-            canon = idx.copy()
+            # a mask is canonical when no image is larger; drop it at the
+            # first image that is, so later images see only the survivors
             for tbs in tables:
-                img = tbs[0][idx & np.uint32(255)]
+                img = tbs[0].take(idx & 255)
                 for t in range(1, len(tbs)):
-                    img |= tbs[t][(idx >> np.uint32(8 * t)) & np.uint32(255)]
-                np.maximum(canon, img, out=canon)
-            masks = idx[(canon == idx) & (np.bitwise_count(idx) >= min_size)]
+                    img |= tbs[t].take((idx >> 8 * t) & 255)
+                idx = idx[img <= idx]
+            masks = idx[np.bitwise_count(idx) >= min_size]
             if not include_full and start + chunk >= total:
                 masks = masks[masks != total - 1]
             yield masks

@@ -504,3 +504,145 @@ def test_lowmem_matches_fast_on_both_layouts(text):
         pat = PatternSet.parse(text, layout)
         for n in sorted({pat.k - 1, pat.k, pat.k + 1, 9} - {0}):
             assert count_avoiders_lowmem(pat, n) == count_avoiders_fast(pat, n), (layout, n)
+
+
+# Insertion positions: the pointer step reads each child's position from a
+# table of set-bit positions.  The bit-peel loop it replaced is kept here as
+# the reference.
+
+def _peeled_insertions(psi, off, total):
+    one = np.uint32(1)
+    ins = np.empty(total, np.uint8)
+    live = np.flatnonzero(psi)
+    rem, dst = psi[live], off[live]
+    while rem.size:
+        low = rem & (~rem + one)
+        ins[dst] = np.bitwise_count(low - one) + 1
+        rem ^= low
+        keep = rem != 0
+        rem, dst = rem[keep], dst[keep] + 1
+    return ins
+
+
+@pytest.mark.parametrize("size", [1, 3, 1 << 15])
+def test_insertion_table_matches_peel(size):
+    import permscan.avoiders as av
+
+    rng = np.random.default_rng(size)
+    # from width 17 on, the full map (at least) reaches the two-halves path
+    for width in range(1, 32):
+        full = (1 << width) - 1
+        dense = rng.integers(0, full + 1, size, dtype=np.uint32)
+        sparse = dense & rng.integers(0, full + 1, size, dtype=np.uint32)
+        for maps in (dense, sparse, np.zeros(size, np.uint32),
+                     np.full(size, full, np.uint32)):
+            w, o = av._offsets(maps)
+            total = int(w.sum())
+            parent, got = av._children(maps)
+            assert np.array_equal(parent, np.repeat(np.arange(size), w))
+            assert got.dtype == np.uint8 and got.shape == (total,)
+            assert np.array_equal(got, _peeled_insertions(maps, o, total)), (width, size)
+
+
+def _v_shapes(letters):
+    """For rows that fall to their 1 and rise after it (Av(132, 231)), the
+    set of letters left of the 1 as a bit mask, which fixes the row; None if
+    some row is not of that shape."""
+    bottom = letters.argmin(axis=1)[:, None]
+    step = np.diff(letters.astype(np.int16), axis=1)
+    if not np.where(np.arange(step.shape[1]) < bottom, step < 0, step > 0).all():
+        return None
+    left = np.arange(letters.shape[1]) < bottom
+    return np.where(left, np.int64(1) << letters, 0).sum(axis=1)
+
+
+def test_wide_maps_of_17_bits_and_more():
+    """Av(132, 231) has 2^(m-1) avoiders of length m; at n = 18..20 the
+    pointer step reads maps of 17 to 19 bits as two 16-bit halves."""
+    from permscan.avoiders import avoider_rows
+
+    pat = PatternSet.parse("132 231", WIDE)
+    for n in (18, 19, 20):
+        assert count_avoiders_fast(pat, n) == [2 ** (m - 1) for m in range(1, n + 1)]
+    for m, (letters, maps) in enumerate(avoider_rows(pat, 20), start=1):
+        assert letters.shape == (2 ** (m - 1), m), m
+        assert (maps is None) == (m == 20)
+        if m >= 17:
+            shapes = _v_shapes(letters)
+            assert shapes is not None and len(np.unique(shapes)) == len(letters), m
+
+
+def test_last_levels_keep_only_what_is_read(monkeypatch):
+    """A count's last pointer step only tallies; a listing's last step keeps
+    rank 1 of its pointers; every earlier step keeps all k-1 ranks."""
+    import permscan.avoiders as av
+    from permscan.avoiders import avoider_rows
+
+    real_step = av._pointer_step
+    steps = []
+
+    def recording_step(psi_b, level, k, ranks):
+        psi_b, new = real_step(psi_b, level, k, ranks)
+        steps.append(new)
+        return psi_b, new
+
+    monkeypatch.setattr(av, "_pointer_step", recording_step)
+    pat = PatternSet.parse("1342 2413")
+    count_avoiders_fast(pat, 10, vectorized=True)
+    assert isinstance(steps[-1], int) and len(steps) > 2
+    assert all(len(new[1]) == len(new[2]) == 3 for new in steps[:-1])
+    steps.clear()
+    list(avoider_rows(pat, 10))
+    assert len(steps[-1][1]) == len(steps[-1][2]) == 1
+    assert all(len(new[1]) == len(new[2]) == 3 for new in steps[:-1])
+
+
+# Upfix tables are built on the first ``upfix_table`` call, not by ``build``.
+
+def test_build_and_count_need_no_upfix(monkeypatch):
+    import permscan.avoiders as av
+    import permscan.permcore as pc
+
+    def refuse(p, i):
+        raise AssertionError("upfix called")
+
+    monkeypatch.setattr(pc, "upfix", refuse)
+    monkeypatch.setattr(av, "upfix", refuse)
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.build([parse_perm(t, layout) for t in ("1342", "2413", "231")])
+        assert count_avoiders_fast(pat, 11) == \
+            count_avoiders_fast(pat, 11, vectorized=False)
+
+
+def _direct_upfix_words(pat, i, layout):
+    from permscan.permcore import PackedPerm
+
+    words = set()
+    for p in pat:
+        letters = p.letters()
+        if len(letters) < i:
+            continue
+        top = [v for v in letters if v > len(letters) - i]
+        words.add(PackedPerm.from_letters([v - (len(letters) - i) for v in top],
+                                          layout).word)
+    return words
+
+
+@pytest.mark.parametrize("text", ["1", "12", "21", "1 12", "21 123", "12 321 4321",
+                                  "132 4321", "2413 3142 21"])
+def test_lazy_upfix_tables_match_direct(text):
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for i in range(0, pat.k + 2):
+            want = _direct_upfix_words(pat, i, layout) if 1 <= i <= pat.k else set()
+            assert pat.upfix_table(i) == want, (text, layout, i)
+
+
+def test_equality_and_hash_ignore_built_tables():
+    a, b = PatternSet.parse("2413 3142 21"), PatternSet.parse("21 3142 2413")
+    before, text = hash(a), repr(a)
+    assert a == b and before == hash(b)
+    a.upfix_table(2)
+    assert a == b and hash(a) == before == hash(b) and repr(a) == text
+    assert {a: 1}[b] == 1
+    assert a != PatternSet.parse("2413 3142")

@@ -401,3 +401,42 @@ def test_symmetry_classes_in_mask_order(s4_patterns):
     assert count_symmetry_classes(3, 6, include_full=True) == 1
     assert count_symmetry_classes(3, 5) == 2  # complements of single patterns
     assert count_symmetry_classes(4, 5) == 2_137_358
+
+
+def _unpruned_canonical_masks(k, min_size, include_full):
+    """All canonical masks, by folding every group image of every mask into
+    a running maximum (the form the pruned sweep replaced)."""
+    from permscan.sequences import _byte_tables, _mask_tables
+
+    perms, moves = _mask_tables(k)
+    tables = [_byte_tables(mv, len(perms)) for mv in moves]
+    total = 1 << len(perms)
+    out = []
+    for start in range(0, total, 1 << 20):
+        idx = np.arange(start, min(start + (1 << 20), total), dtype=np.uint32)
+        canon = idx.copy()
+        for tbs in tables:
+            img = tbs[0][idx & np.uint32(255)]
+            for t in range(1, len(tbs)):
+                img |= tbs[t][(idx >> np.uint32(8 * t)) & np.uint32(255)]
+            np.maximum(canon, img, out=canon)
+        out.append(idx[(canon == idx) & (np.bitwise_count(idx) >= min_size)])
+    masks = np.concatenate(out)
+    return masks if include_full else masks[masks != total - 1]
+
+
+@pytest.mark.parametrize("k,min_size,include_full", [
+    (3, 0, True), (3, 1, False), (3, 3, True), (3, 5, False),
+    (4, 5, False), (4, 1, True),
+])
+def test_pruned_masks_match_unpruned(k, min_size, include_full):
+    import hashlib
+
+    from permscan.sequences import _canonical_masks
+
+    _, chunks = _canonical_masks(k, min_size, include_full)
+    pruned = np.concatenate(list(chunks))
+    want = _unpruned_canonical_masks(k, min_size, include_full)
+    assert pruned.dtype == want.dtype == np.uint32
+    assert hashlib.sha256(pruned.tobytes()).hexdigest() == \
+        hashlib.sha256(want.tobytes()).hexdigest()
