@@ -10,13 +10,15 @@ Three engines, all producing the avoiders of each length 1..n:
   which children avoid, assembled by AND-ing shifted maps of its one-letter
   deletions.  Counting a level is a popcount; materializing children reads
   the positions of each map's set bits from a table.  O(k) work per
-  avoider.  The counter steps small levels in Python on packed words, then
-  switches to a numpy step that keeps no words, only maps, letter positions
-  and pointers to each avoider's deletions in the level below (no sort, no
-  search); no word layout bounds it, so n = 16 counts on the WIDE layout
-  run vectorized too.  A step works through its level in fixed blocks of
-  parents; a count only tallies the maps of its last level (length n-1)
-  and never holds them.
+  avoider.  Levels are built on packed words only until the membership
+  fix-up is done (length k-1, where a child's children may themselves be
+  patterns).  From there a level keeps no words, only maps, letter
+  positions and pointers to each avoider's deletions in the level below
+  (no sort, no search): a level of fewer than ``_VECTOR_MIN_LEVEL``
+  avoiders is stepped on Python ints, larger ones in numpy.  No word layout
+  bounds the numpy step, so n = 16 counts on the WIDE layout run vectorized
+  too.  It works through its level in fixed blocks of parents; a count only
+  tallies the maps of its last level (length n-1) and never holds them.
   ``avoider_rows`` lists on the same steps: a level's letters are one
   gather from its parents' rows plus the new maximum, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
@@ -33,6 +35,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -360,10 +363,13 @@ def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
     return c_words, c_invs, c_psis
 
 
-# A level holding fewer avoiders than this is stepped in Python: below it the
-# fixed cost of the numpy step's few dozen array calls exceeds the work saved.
-# Counting 400 recorded S_4 sweep classes at n = 16 (2-core machine) took
-# 0.67-0.77 s with 15..30 here, in no stable order, and 0.78-0.98 s with 10 or 40+.
+# A level holding fewer avoiders than this is stepped by _python_step: below
+# it the fixed cost of the numpy step's few dozen array calls exceeds the work
+# saved.  Counting 100 recorded S_4 sweep classes per stratum at n = 16
+# (2-core machine, each value timed on the same classes in turn), the
+# 1,000-3,000-avoider classes took 2.19 ms each with 30 here, 2.20-2.23 with
+# 20-40, 2.31 with 60 and 2.74 with 100; with 10 the tiny classes (under 150
+# avoiders) took 3x as long, and from 20 up they did not move.
 _VECTOR_MIN_LEVEL = 30
 
 _ONE = np.uint32(1)  # maps are uint32, so the numpy step needs n < 32
@@ -373,13 +379,10 @@ def count_avoiders_fast(pat: PatternSet, n: int,
                         vectorized: bool | None = None) -> list[int]:
     """[|S_1|, ..., |S_n|] via extension maps; levels are tallied by popcount
     and the final level is never materialized: |S_n| is the popcount total
-    of level n-1's maps, which the last ``_pointer_step`` tallies block by
-    block without holding them.
+    of level n-1's maps, which the last step tallies without holding them.
 
-    ``_advance_level`` builds the levels below ``_VECTOR_MIN_LEVEL`` avoiders
-    and those whose children's children may be patterns (the membership
-    fix-up); ``_pointer_step`` builds the rest in numpy.  ``vectorized=True``
-    drops the size condition, ``False`` never switches; the counts agree.
+    ``_levels`` gives the schedule.  ``vectorized=True`` runs numpy from the
+    first pointer level, ``False`` stays on words to the end; counts agree.
     """
     _check_n(n, pat.layout)
     counts = [0] * n
@@ -405,9 +408,15 @@ def avoider_rows(pat: PatternSet, n: int,
         if m:
             yield letters, maps
         m += 1
-    # the level above the last one stepped: its maps give the insertion positions
-    parent, ins = _children(maps)
-    letters = _grow_rows(letters, ins, parent)
+    # the level above the last one stepped: its maps give the insertion
+    # positions, read _BLOCK parents at a time straight into the output
+    grown = np.empty((int(np.bitwise_count(maps).sum(dtype=np.int64)), m), np.uint8)
+    hi = 0
+    for a in range(0, maps.size, _BLOCK):
+        parent, ins = _children(maps[a:a + _BLOCK])
+        lo, hi = hi, hi + ins.size
+        _grow_rows(letters[a:a + _BLOCK], ins, parent, grown[lo:hi])
+    letters = grown
     for m in range(m, n + 1):
         yield letters, None if m == n else np.zeros(0, np.uint32)
         letters = np.zeros((0, m + 1), np.uint8)
@@ -437,14 +446,20 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
             rows: bool = False):
     """The level schedule that counting and listing share.
 
+    Levels are built on words (``_advance_level``) through length
+    max(k-1, 1), where the membership fix-up ends, then turned into pointer
+    form once (``_pointer_level``).  Each later level is built by
+    ``_python_step`` while the level it steps from holds fewer than
+    ``_VECTOR_MIN_LEVEL`` avoiders, and by ``_pointer_step`` in numpy from the
+    first one that holds more (it does not switch back).
+
     Yields, for m = 0, 1, ..., ``(tally, maps, letters)``: the extension
-    maps of the avoiders of length m (a list of ints while ``_advance_level``
-    steps, a uint32 array once ``_pointer_step`` does), ``tally`` = |S_{m+1}|
-    (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
-    the level, else None.  Stops after level n-1 or after a level with no
-    children.  Without ``rows`` the last ``_pointer_step`` only tallies its
-    level, so that level's maps come as None; with ``rows`` it keeps the one
-    pointer rank that ``_grow_rows`` reads.
+    maps of the avoiders of length m (a list of ints before the numpy step,
+    a uint32 array after), ``tally`` = |S_{m+1}| (their popcount total), and
+    with ``rows`` the (|S_m|, m) uint8 letters of the level, else None.
+    Stops after level n-1 or after a level with no children.  Without
+    ``rows`` the last step only tallies its level, so that level's maps come
+    as None; with ``rows`` it keeps the pointer rank that ``_grow_rows`` reads.
     """
     layout, k = pat.layout, pat.k
     words, invs, psis = _seed_level(pat, layout)
@@ -455,23 +470,28 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         yield tally, psis, letters
         if m + 1 == n or tally == 0:
             return
-        if (vectorized is not False and below is not None and m + 2 > k
-                and n < 32 and (vectorized or len(words) >= _VECTOR_MIN_LEVEL)):
+        if vectorized is not False and below is not None and m + 2 > k:
             break
         below = words, psis
         words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
-    psi_b, level = _pointer_level(below, words, invs, psis, m, k, layout)
+    psi_b, level = below[1], (psis, _pointer_level(below[0], words, invs, m, k, layout))
+    numpy_step = False
     for m in range(m + 1, n):
         ranks = k - 1 if m + 1 < n else 1 if rows else 0
-        psi_b, level = _pointer_step(psi_b, level, k, ranks)
+        if not numpy_step and n < 32 and (vectorized or len(level[0]) >= _VECTOR_MIN_LEVEL):
+            numpy_step = True
+            psi_b, level = np.array(psi_b, np.uint32), _as_arrays(level, k)
+        psi_b, level = (_pointer_step if numpy_step else _python_step)(psi_b, level, k, ranks)
         if not ranks:
             yield level, None, None
             return
-        maps, pos, dele = level
+        maps = level[0]
         if rows:
             # the largest letter sits at the insertion position; D_1 is the parent
+            _, pos, dele = level if numpy_step else _as_arrays(level, k)
             letters = _grow_rows(letters, pos[0], dele[0])
-        tally = int(np.bitwise_count(maps).sum(dtype=np.int64))
+        tally = (int(np.bitwise_count(maps).sum(dtype=np.int64)) if numpy_step
+                 else sum(map(int.bit_count, maps)))
         yield tally, maps, letters
         if tally == 0:
             return
@@ -482,12 +502,15 @@ def _unpack_rows(words: list[int], m: int, layout: PermLayout) -> np.ndarray:
                     dtype=np.uint8).reshape(len(words), m)
 
 
-def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray) -> np.ndarray:
+def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Letters of a level's children: row `parent` of `letters` with the new
-    maximum inserted at position `ins` (1-based), one child per entry."""
+    maximum inserted at position `ins` (1-based), one child per entry,
+    written into `out` if given."""
     m = letters.shape[1]
     src = np.take(letters, parent, axis=0)
-    out = np.empty((src.shape[0], m + 1), np.uint8)
+    if out is None:
+        out = np.empty((src.shape[0], m + 1), np.uint8)
     out[:, 1:] = src
     np.copyto(out[:, :m], src, where=np.arange(1, m + 1) < ins[:, None])
     out[np.arange(out.shape[0]), ins - 1] = m + 1
@@ -551,24 +574,25 @@ def _children(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return par, _POSITIONS.take(idx)
 
 
-def _pointer_level(below: tuple[list[int], list[int]], words: list[int],
-                   invs: list[int], psis: list[int], m: int, k: int,
-                   layout: PermLayout):
-    """The maps of level m-1 (`below`: its words and maps) and the pointer
-    form of level m, built once from the word lists of ``_advance_level``."""
-    below_words, below_psis = below
+def _pointer_level(below_words: list[int], words: list[int], invs: list[int],
+                   m: int, k: int, layout: PermLayout) -> list[list[tuple[int, int]]]:
+    """The links of level m for ``_python_step``, from its words and partial
+    inverses (``_advance_level``): for r = 1..k-1, where each avoider's r-th
+    largest letter sits and the index in level m-1 (`below_words`) of the
+    avoider that deleting it leaves.  D_r follows from D_{r-1} in O(1) word
+    operations: the letter m-r+1 moves to where m-r+2 was."""
     index = {w: j for j, w in enumerate(below_words)}
     b, mask = layout.bits, layout.mask
-    pos: list[list[int]] = [[] for _ in range(k - 1)]
-    dele: list[list[int]] = [[] for _ in range(k - 1)]
+    links = []
     for w, iv in zip(words, invs):
-        for r in range(1, k):
-            pos[r - 1].append((iv >> (b * (m - r))) & mask)
-            dele[r - 1].append(index[_delete_down_word(w, m, r, layout)])
-    level = (np.array(psis, dtype=np.uint32),
-             [np.array(col, dtype=np.uint8) for col in pos],
-             [np.array(col, dtype=np.int32) for col in dele])
-    return np.array(below_psis, dtype=np.uint32), level
+        d = q = 0
+        link = []
+        for v in range(m, m - k + 1, -1):
+            moved, q = q, (iv >> (b * (v - 1))) & mask
+            d = kill_pos(insert_pos(d, moved, v, layout) if moved else w, q, layout)
+            link.append((q, index[d]))
+        links.append(link)
+    return links
 
 
 def _shifted(src: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -630,6 +654,54 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
         else:
             tally += int(np.bitwise_count(maps).sum(dtype=np.int64))
     return psi, (out, new_pos, new_del) if ranks else tally
+
+
+def _python_step(psi_b: list[int], level, k: int, ranks: int):
+    """``_pointer_step`` on Python ints, one child at a time, for levels too
+    small to pay for numpy's fixed cost per call: the same recurrence and
+    the same check before each pointer is followed.  A level is (maps,
+    links), links[c] the (position, index in the level below) pairs of
+    avoider c's ranks 1..k-1; `ranks` = 0 only tallies the new level."""
+    psi, links = level
+    off_b = list(accumulate((src.bit_count() for src in psi_b), initial=0))
+    out, new_links, tally = [], [], 0
+    for p, (parent, link) in enumerate(zip(psi, links)):
+        if not parent:
+            continue
+        # per rank r = 2..k: the deleted letter's position in p, and the map
+        # and first child index of g = D_{r-1}(p)
+        deps = [(qp, psi_b[g], off_b[g]) for qp, g in link]
+        bits = parent
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            i = low.bit_length()
+            child = (parent & ((low << 1) - 1)) | ((parent >> (i - 1)) << i)
+            new = [(i, p)]
+            for qp, src, base in deps:
+                sh, q = (i - 2, qp) if qp < i else (i - 1, qp + 1)
+                if not (src >> sh) & 1:
+                    raise RuntimeError("deletion pointer lands outside its source map: "
+                                       "inconsistent avoider levels")
+                idx = base + (src & ((1 << sh) - 1)).bit_count()
+                s = psi[idx]
+                child &= (s & ((1 << q) - 1)) | ((s >> (q - 1)) << q)
+                new.append((q, idx))
+            if ranks:
+                new.pop()  # D_k is read only for the map
+                out.append(child)
+                new_links.append(new)
+            else:
+                tally += child.bit_count()
+    return psi, (out, new_links) if ranks else tally
+
+
+def _as_arrays(level, k: int):
+    """A level of ``_python_step`` in ``_pointer_step``'s form."""
+    psi, links = level
+    both = np.array(links, np.int64).reshape(len(links), k - 1, 2)
+    return (np.array(psi, np.uint32), [both[:, r, 0].astype(np.uint8) for r in range(k - 1)],
+            [both[:, r, 1].astype(np.int32) for r in range(k - 1)])
 
 
 # ---------------------------------------------------------------------------

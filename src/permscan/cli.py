@@ -197,28 +197,43 @@ def cmd_vincular_count(args) -> int:
 PROGRESS_INTERVAL_S = 10.0
 
 
-def _mine_progress():
+class _MineProgress:
     """A ``sq.mine`` progress callback: one stderr line, at most every
-    PROGRESS_INTERVAL_S seconds, with the classes done and their rate."""
-    start = last = time.monotonic()
+    PROGRESS_INTERVAL_S seconds, with the classes done, their rate and the
+    time spent counting and in lookups.  ``finish`` reports the last class
+    too, once the run has lasted that long; shorter runs print nothing."""
 
-    def report(done: int) -> None:
-        nonlocal last
+    def __init__(self) -> None:
+        self.start = self.last = time.monotonic()
+        self.latest = self.reported = None
+
+    def __call__(self, done: int, counting_s: float, lookup_s: float) -> None:
+        self.latest = (done, counting_s, lookup_s)
         now = time.monotonic()
-        if now - last >= PROGRESS_INTERVAL_S:
-            last = now
-            elapsed = now - start
-            print(f"mine: {done} classes in {elapsed:.1f}s "
-                  f"({done / max(elapsed, 1e-9):.1f} classes/s)", file=sys.stderr)
+        if now - self.last >= PROGRESS_INTERVAL_S:
+            self.last = now
+            self._print(now)
 
-    return report
+    def finish(self) -> None:
+        now = time.monotonic()
+        if self.latest != self.reported and now - self.start >= PROGRESS_INTERVAL_S:
+            self._print(now)
+
+    def _print(self, now: float) -> None:
+        self.reported = done, counting_s, lookup_s = self.latest
+        elapsed = now - self.start
+        print(f"mine: {done} classes in {elapsed:.1f}s "
+              f"({done / max(elapsed, 1e-9):.1f} classes/s; "
+              f"counting {counting_s:.1f}s, lookup {lookup_s:.1f}s)", file=sys.stderr)
 
 
 def cmd_mine(args) -> int:
     db = sq.OeisDb.load(args.oeis) if args.oeis else None
+    progress = _MineProgress()
     rows = sq.mine(args.pattern_length, args.min_set_size, args.max_n, db,
                    max_shift=args.max_shift, min_overlap=args.min_overlap,
-                   progress=_mine_progress())
+                   progress=progress)
+    progress.finish()
     out = _open_out(args)
     try:
         sq.write_report(rows, out)

@@ -12,6 +12,7 @@ positions before the query.
 from __future__ import annotations
 
 import gzip
+import time
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -436,21 +437,29 @@ def mine_row(patterns: Sequence[PackedPerm], terms: Sequence[int],
 
 def mine(pattern_length: int, min_size: int, n_max: int, db: OeisDb | None,
          max_shift: int = 14, min_overlap: int = 8,
-         progress: Callable[[int], None] | None = None) -> list[MineRow]:
+         progress: Callable[[int, float, float], None] | None = None) -> list[MineRow]:
     """Sweep all symmetry classes of pattern sets in S_pattern_length with
     at least min_size patterns: counts |S_5|..|S_n_max| per class, then
-    ``mine_row``.  ``progress`` gets the number of classes done after each."""
+    ``mine_row``.  ``progress`` gets, after each class, the number of
+    classes done and the seconds spent so far counting (``PatternSet.build``
+    and ``count_avoiders_fast``) and in ``mine_row`` (growth filter and
+    OEIS lookup)."""
     _check_match_args(max_shift, min_overlap)
     layout = layout_for(n_max)
     rows = []
+    counting = lookup = 0.0
     for done, patterns in enumerate(enumerate_symmetry_classes(pattern_length, min_size)):
+        t0 = time.perf_counter()
         pat = PatternSet.build([PackedPerm.from_letters(p.letters(), layout)
                                 for p in patterns])
         counts = count_avoiders_fast(pat, n_max)
+        t1 = time.perf_counter()
         rows.append(mine_row(patterns, counts[FIRST_TERM_N - 1:], db,
                              max_shift, min_overlap))
+        counting += t1 - t0
+        lookup += time.perf_counter() - t1
         if progress is not None:
-            progress(done + 1)
+            progress(done + 1, counting, lookup)
     return rows
 
 

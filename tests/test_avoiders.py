@@ -646,3 +646,124 @@ def test_equality_and_hash_ignore_built_tables():
     assert a == b and hash(a) == before == hash(b) and repr(a) == text
     assert {a: 1}[b] == 1
     assert a != PatternSet.parse("2413 3142")
+
+
+# Above the fix-up levels, levels under _VECTOR_MIN_LEVEL avoiders step on
+# Python ints (_python_step) and larger ones in numpy (_pointer_step).  The
+# default schedule must list and count what numpy from the earliest level
+# (vectorized=True) and words all the way (vectorized=False) do.
+SCHEDULE_SETS = ("1", "12", "1 12", "21 123", "123 321", "123 132 231",
+                 "123 132", "132 4321")
+
+
+def _schedule(pat, n, vectorized):
+    """Every level that ``_levels`` yields while listing: its tally, maps
+    and letters, as bytes."""
+    import permscan.avoiders as av
+
+    return [(tally, None if maps is None else np.asarray(maps, np.uint32).tobytes(),
+             letters.tobytes())
+            for tally, maps, letters in av._levels(pat, n, vectorized, rows=True)]
+
+
+def _steps_taken(monkeypatch, pat, n):
+    """How many levels the default count builds with each step."""
+    import permscan.avoiders as av
+
+    taken = {"python": 0, "numpy": 0}
+    for name, key in (("_python_step", "python"), ("_pointer_step", "numpy")):
+        def counted(psi_b, level, k, ranks, _real=getattr(av, name), _key=key):
+            taken[_key] += 1
+            return _real(psi_b, level, k, ranks)
+        monkeypatch.setattr(av, name, counted)
+    count_avoiders_fast(pat, n)
+    monkeypatch.undo()
+    return taken
+
+
+@pytest.mark.parametrize("text", SCHEDULE_SETS)
+def test_default_schedule_matches_numpy_and_words(text):
+    from permscan.avoiders import avoider_rows
+
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for n in sorted({pat.k - 1, pat.k, pat.k + 1, 12} - {0}):
+            want = count_avoiders_fast(pat, n, vectorized=False)
+            assert count_avoiders_fast(pat, n) == want, (layout, n)
+            assert count_avoiders_fast(pat, n, vectorized=True) == want, (layout, n)
+            words = _schedule(pat, n, False)
+            assert _schedule(pat, n, None) == words, (layout, n)
+            assert _schedule(pat, n, True) == words, (layout, n)
+            rows = list(avoider_rows(pat, n))
+            assert [len(letters) for letters, _ in rows] == want, (layout, n)
+            for (tally, maps, letters), (got, got_maps) in zip(words[1:], rows):
+                assert got.tobytes() == letters and got_maps.tobytes() == maps
+
+
+def test_schedule_matrix_spans_both_steps(monkeypatch):
+    never = _steps_taken(monkeypatch, PatternSet.parse("123 132 231"), 12)
+    assert never["python"] > 0 and never["numpy"] == 0
+    for text in ("123 132", "132 4321"):
+        both = _steps_taken(monkeypatch, PatternSet.parse(text), 12)
+        assert both["python"] > 0 and both["numpy"] > 0, text
+
+
+def test_random_s4_sets_default_matches_numpy():
+    """A seeded sample of S_4 sets of 5 patterns or more, as in the S_4
+    sweep: WIDE layout, n = 16."""
+    rng = random.Random(8)
+    s4 = all_perms(4, WIDE)
+    for _ in range(200):
+        pat = PatternSet.build(rng.sample(s4, rng.randint(5, 24)))
+        assert count_avoiders_fast(pat, 16) == \
+            count_avoiders_fast(pat, 16, vectorized=True), [str(p) for p in pat]
+
+
+@pytest.mark.parametrize("text,path,at", [
+    # the first Python step builds the 5 length-3 avoiders; claim that every
+    # insertion into one of them avoids
+    ("231", "count", 0),
+    ("231", "list", 0),
+    ("132", "list", -1),
+    # here a pointer lands one past the end of the level below
+    ("123", "count", -1),
+])
+def test_inconsistent_python_level_fails_loudly(monkeypatch, text, path, at):
+    """The Python step checks each deletion pointer before following it."""
+    import permscan.avoiders as av
+
+    real_step = av._python_step
+    calls = []
+
+    def corrupting_step(psi_b, level, k, ranks):
+        psi_b, level = real_step(psi_b, level, k, ranks)
+        if not calls:
+            level[0][at] = 0b1111
+        calls.append(1)
+        return psi_b, level
+
+    monkeypatch.setattr(av, "_python_step", corrupting_step)
+    pat = PatternSet.parse(text)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        if path == "count":
+            count_avoiders_fast(pat, 8)
+        else:
+            list(av.avoider_rows(pat, 8))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text,n", [("231", 10), ("1342 2413", 9), ("132 4321", 13)])
+def test_listing_last_level_in_blocks(monkeypatch, text, n):
+    """avoider_rows grows its last level _BLOCK parents at a time straight
+    into the output: blocks of 1, 3 and 1000 parents list the same bytes."""
+    import permscan.avoiders as av
+
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        assert count_avoiders_fast(pat, n)[-2] > 1000
+        monkeypatch.setattr(av, "_BLOCK", 1 << 30)
+        whole = [letters.tobytes() for letters, _ in av.avoider_rows(pat, n)]
+        for block in (1, 3, 1000):
+            monkeypatch.setattr(av, "_BLOCK", block)
+            assert [letters.tobytes() for letters, _ in av.avoider_rows(pat, n)] == whole, \
+                (layout, block)

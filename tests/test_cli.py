@@ -225,6 +225,35 @@ def test_mine_progress_leaves_stdout_unchanged(capsys, monkeypatch, tmp_path):
     assert len(lines) == 19  # one per class when every call may report
     assert lines[-1].startswith("mine: 19 classes in ")
 
+def test_mine_final_line_splits_counting_and_lookup(capsys, monkeypatch, tmp_path):
+    """A run that lasts a progress interval ends with a stderr line for the
+    last class that splits the time into counting and lookup; stdout keeps
+    its bytes."""
+    import itertools
+    import re
+    import types
+
+    line = "A000108 ,1,1,2,5,14,42,132,429,1430,4862,16796,58786,208012,742900,\n"
+    stripped = tmp_path / "stripped"
+    stripped.write_text(line)
+    expected = io.StringIO()
+    write_report(mine(3, 1, 10, OeisDb.parse([line])), expected)
+
+    # a clock that reads one second later at every call: 19 classes take 20 s
+    clock = itertools.count()
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 5.0)
+    code, out, err = run_cli(capsys, "mine", "--pattern-length", "3", "--min-set-size", "1",
+                             "--max-n", "10", "--oeis", str(stripped))
+    assert code == 0 and out == expected.getvalue()
+    lines = err.splitlines()
+    assert [ln.split(" classes")[0] for ln in lines] == \
+        ["mine: 5", "mine: 10", "mine: 15", "mine: 19"]
+    last = re.fullmatch(r"mine: 19 classes in 20\.0s \(0\.9 classes/s; "
+                        r"counting (\d+\.\d)s, lookup (\d+\.\d)s\)", lines[-1])
+    assert last is not None, lines[-1]
+
+
 def test_bench_format(capsys):
     code, out, _ = run_cli(capsys, "bench", "--algos", "fast,oracle",
                            "--patterns", "2431", "--max-n", "6")
