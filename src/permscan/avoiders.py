@@ -55,6 +55,8 @@ from .permcore import (
     parse_perm,
     unpack,
     upfix,
+    _delete_down_word,
+    _scan_upfixes,
 )
 
 _PATTERN_TOKEN = re.compile(r"\[[^\]]*\]|[^\s,]+")
@@ -206,45 +208,14 @@ def detect_avoider(p: PackedPerm, pat: PatternSet, below: "set[int] | frozenset[
     limit = min(pat.k + 1, n)
     if upfix_cutoff:
         inv = PartialInverse.from_perm(p)
-        matched = _scan_words(p.word, n, inv.word, min(pat.k, n), pat, p.layout)
+        matched = _scan_upfixes(n, inv.word, min(pat.k, n), p.layout,
+                                lambda i, st: st in pat.upfix_table(i))
         limit = min(limit, matched + 1)
     word = p.word
     for rank in range(1, limit + 1):
         if _delete_down_word(word, n, rank, p.layout) not in below:
             return False
     return True
-
-
-def _delete_down_word(word: int, n: int, rank: int, layout: PermLayout) -> int:
-    b, m = layout.bits, layout.mask
-    value = n - rank + 1
-    pos = 1
-    while (word >> (b * (pos - 1))) & m != value:
-        pos += 1
-    word = kill_pos(word, pos, layout)
-    out = 0
-    for i in range(n - 1):
-        v = (word >> (b * i)) & m
-        out |= (v - 1 if v > value else v) << (b * i)
-    return out
-
-
-def _scan_words(word: int, n: int, inv_word: int, r: int, pat: PatternSet,
-                layout: PermLayout) -> int:
-    """Word-level upfix scan: largest i <= r with st(i-upfix) in the tables."""
-    b, m = layout.bits, layout.mask
-    bitmap = 0
-    st = 0
-    matched = 0
-    for i in range(1, min(r, n) + 1):
-        pos = (inv_word >> (b * (n - i))) & m
-        below = (bitmap & ((1 << (pos - 1)) - 1)).bit_count()
-        st = insert_pos(st + layout.ones(i - 1), below + 1, 1, layout)
-        bitmap |= 1 << (pos - 1)
-        if st not in pat.upfix_table(i):
-            break
-        matched = i
-    return matched
 
 
 def build_avoiders_basic(pat: PatternSet, n: int,
@@ -260,38 +231,20 @@ def build_avoiders_basic(pat: PatternSet, n: int,
     layout = pat.layout
     _check_n(n, layout)
     levels: dict[int, set[PackedPerm]] = {m: set() for m in range(1, n + 1)}
-    one = pack([1], layout)
-    if one in pat.words:
-        return levels
-    if downset_filter is not None and not downset_filter(PackedPerm(one, 1, layout)):
-        return levels
-    levels[1].add(PackedPerm(one, 1, layout))
-    seen: set[int] = {one}
-    queue: deque[tuple[int, int]] = deque()
-    if n > 1:
-        queue.append((one, 1))
-    k = pat.k
-    words = pat.words
+    seen: set[int] = {0}
+    queue: deque[tuple[int, int]] = deque([(0, 0)])
     while queue:
         word, m = queue.popleft()
         clen = m + 1
-        for i in range(1, m + 2):
-            cand = insert_pos(word, i, clen, layout)
-            if downset_filter is not None and not downset_filter(
-                    PackedPerm(cand, clen, layout)):
+        for i in range(1, clen + 1):
+            q = PackedPerm(insert_pos(word, i, clen, layout), clen, layout)
+            if downset_filter is not None and not downset_filter(q):
                 continue
-            if cand in words:
-                continue
-            ok = True
-            for rank in range(1, min(k + 1, clen) + 1):
-                if _delete_down_word(cand, clen, rank, layout) not in seen:
-                    ok = False
-                    break
-            if ok:
-                seen.add(cand)
-                levels[clen].add(PackedPerm(cand, clen, layout))
+            if detect_avoider(q, pat, seen):
+                seen.add(q.word)
+                levels[clen].add(q)
                 if clen < n:
-                    queue.append((cand, clen))
+                    queue.append((q.word, clen))
     return levels
 
 

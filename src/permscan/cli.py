@@ -136,6 +136,17 @@ def cmd_avoid(args) -> int:
 # ---------------------------------------------------------------------------
 # count
 
+def _write_tally(args, tally: ct.CountTally) -> int:
+    out = _open_out(args)
+    try:
+        out.write("length,hits,multiplicity\n")
+        for m, hits, mult in tally.rows():
+            out.write(f"{m},{hits},{mult}\n")
+    finally:
+        _close_out(out)
+    return 0
+
+
 def cmd_count(args) -> int:
     layout = _layout_for_args(args)
     pat = av.PatternSet.parse(args.patterns, layout)
@@ -159,14 +170,7 @@ def cmd_count(args) -> int:
             print("oracle-check FAILED: hit histogram disagrees", file=sys.stderr)
             return 2
 
-    out = _open_out(args)
-    try:
-        out.write("length,hits,multiplicity\n")
-        for m, hits, mult in tally.rows():
-            out.write(f"{m},{hits},{mult}\n")
-    finally:
-        _close_out(out)
-    return 0
+    return _write_tally(args, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +185,7 @@ def cmd_vincular_count(args) -> int:
         raise ValueError(f"bad adjacency list {args.adjacencies!r}")
     cov = vc.CovincularPattern(pattern, adj)
     tally = vc.covincular_count_all(cov, args.max_n)
-    out = _open_out(args)
-    try:
-        out.write("length,hits,multiplicity\n")
-        for m, hits, mult in tally.rows():
-            out.write(f"{m},{hits},{mult}\n")
-    finally:
-        _close_out(out)
-    return 0
+    return _write_tally(args, tally)
 
 
 # ---------------------------------------------------------------------------

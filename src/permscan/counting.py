@@ -14,16 +14,19 @@ Engines:
   dense array; each deletion rewrites only the last digits of the code, so
   the profile step gathers the level below through a small table per
   (length, rank) and whole levels run as vector operations.
-* ``count_downset`` - any streamed downset, hash-table based.
-* ``count_single_fast`` - single pattern: stops computing the profile at the
-  first upfix of the host that is not an upfix of the pattern (everything
-  above is zero and is never needed again), giving amortized O(1) per host.
 * ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
   traversal of the inclusion tree that keeps profile batches only along one
   root-to-leaf path; each batch takes the same table-gather step.
   ``vincular.covincular_count_all`` runs both with a pass-through set.
-* ``build_bounded_hits`` - the permutations with at most j hits, built
-  bottom-up with rejection, together with their profiles.
+* ``_profile_hosts`` - the one hash-table step for streamed hosts: it keeps
+  the previous length's profiles in a dict keyed by word, and computes each
+  profile only up to the first upfix of the host that is not an upfix of a
+  pattern (everything above is zero and is never needed again), which gives
+  amortized O(1) per host for a single pattern.  Its engines wrap it:
+  ``count_downset`` over any streamed downset, ``count_single_fast`` over
+  the max-insertion stream of S_<=n, ``build_bounded_hits`` over the same
+  stream with the hosts of more than j hits rejected and not extended, and
+  ``vincular.covincular_count_downset`` with a pass-through set.
 """
 
 from __future__ import annotations
@@ -31,21 +34,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .avoiders import PatternSet, _scan_words
+from .avoiders import PatternSet, _check_n
 from .permcore import (
     PackedPerm,
     PartialInverse,
-    PermCapacityError,
     PermLayout,
     delete_down,
     delete_down_next,
     insert_pos,
     kill_pos,
     pack,
+    _scan_upfixes,
 )
 
 
@@ -113,26 +116,32 @@ def count_profile(p: PackedPerm, pat: PatternSet,
 
     ``lookup(q, i)`` must return P_i(q) for every deletion q of p actually
     requested; a KeyError from it is reported as a downset-closure
-    violation.  ``inv`` (valid in the top k+1 values) lets the deletions be
-    computed by the constant-time chain instead of rescanning.
+    violation.  The deletions come from the constant-time chain; ``inv``
+    (valid in the top k+1 values) saves recomputing the inverse it reads.
     """
+    return _host_profile(p, pat.k, p.word in pat.words, lookup, inv)
+
+
+def _host_profile(p: PackedPerm, k: int, is_pattern: bool,
+                  lookup: Callable[[PackedPerm, int], int],
+                  inv: PartialInverse | None,
+                  through: frozenset[int] = frozenset()) -> HitProfile:
+    """The recurrence for one host p of a length-k pattern (or set), with
+    P_i = P_{i+1} for i in ``through`` (the covincular pass-through case)."""
     n = p.length
-    k = pat.k
     values = [0] * (k + 2)
-    if n <= k and p.word in pat.words:
+    if n <= k and is_pattern:
         values[n] = 1
-    dels: list[PackedPerm | None] = [None] * (min(k + 1, n) + 1)
-    if n >= 1 and min(k + 1, n) >= 1:
-        if inv is not None and inv.valid_count >= min(k + 1, n):
-            prev = delete_down(p, 1)
-            dels[1] = prev
-            for r in range(2, min(k + 1, n) + 1):
-                prev = delete_down_next(p, prev, inv, r - 1)
-                dels[r] = prev
-        else:
-            for r in range(1, min(k + 1, n) + 1):
-                dels[r] = delete_down(p, r)
+    top = min(k + 1, n)
+    if inv is None or inv.valid_count < top:
+        inv = PartialInverse.from_perm(p, top)
+    dels: list[PackedPerm | None] = [None, delete_down(p, 1) if n else None]
+    for r in range(2, top + 1):
+        dels.append(delete_down_next(p, dels[-1], inv, r - 1))
     for i in range(min(k, n - 1), -1, -1):
+        if i in through:
+            values[i] = values[i + 1]
+            continue
         try:
             values[i] = lookup(dels[i + 1], i) + values[i + 1]
         except KeyError as exc:
@@ -157,13 +166,6 @@ def count_profile(p: PackedPerm, pat: PatternSet,
 # n <= 25 has at most 2^n <= 2^25 hits (one per subset of its letters).
 
 _DENSE_MAX_N = 11  # level arrays are m!-sized; beyond this use count_all_lowmem
-
-
-def _check_n(n: int, layout: PermLayout) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > layout.capacity:
-        raise PermCapacityError(f"n={n} exceeds layout capacity {layout.capacity}")
 
 
 def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
@@ -280,6 +282,138 @@ def count_all(pat: PatternSet, n: int) -> CountTally:
 # ---------------------------------------------------------------------------
 # streamed downsets (hash-table engine)
 
+def _profile_hosts(hosts: Iterable[tuple[int, int, int]], pat: PatternSet,
+                   through: frozenset[int] = frozenset(), budget: int | None = None,
+                   ) -> Iterator[tuple[tuple[int, int, int], tuple[int, ...]]]:
+    """The hash-table profile step over hosts (word, length, inverse word)
+    streamed in nondecreasing length, each inverse valid in the host's top
+    k+1 values; yields (host, (P_0..P_g)) per kept host.
+
+    g is the deepest upfix of the host that is an upfix of a pattern: P_i
+    above it is zero and never requested by longer hosts, so the deletion
+    chain and the recurrence stop there.  P_i = P_{i+1} for i in ``through``
+    (the covincular pass-through case).  Only the previous length's profiles
+    are kept.  A length that goes down, or a host streamed twice, raises
+    ValueError; a host whose deletion was never kept raises
+    ClosureViolationError.  With a ``budget``, such a host and one with more
+    hits than the budget are dropped instead, and g is min(k, m) (the scan
+    would cost more than it saves on candidates that are mostly rejected).
+    """
+    k = pat.k
+    layout = pat.layout
+    b, mask = layout.bits, layout.mask
+    pi_words = pat.words
+    upfixes = [pat.upfix_table(i) for i in range(k + 1)]
+
+    def is_upfix(i: int, st: int) -> bool:
+        return st in upfixes[i]
+
+    prev: dict[int, tuple[int, ...]] = {0: ()}
+    cur: dict[int, tuple[int, ...]] = {}
+    cur_len = 0
+    for host in hosts:
+        word, m, inv_word = host
+        if m < cur_len:
+            raise ValueError("stream must be nondecreasing in length")
+        while m > cur_len:
+            prev, cur = (cur if cur_len else prev), {}
+            cur_len += 1
+        if word in cur:
+            raise ValueError(f"host {PackedPerm(word, m, layout)} streamed twice")
+        if budget is None:
+            g = _scan_upfixes(m, inv_word, min(k, m), layout, is_upfix)
+        else:
+            g = min(k, m)
+        # the deletion chain: dels[r] is the host with its r-th largest
+        # letter deleted, each one from the last in O(1) via the inverse
+        dels = [0] * (min(g + 1, m) + 1)
+        if m >= 1:
+            d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
+            dels[1] = d
+            for r in range(2, len(dels)):
+                vdel = m - r + 1
+                d = insert_pos(d, (inv_word >> (b * vdel)) & mask, vdel, layout)
+                d = kill_pos(d, (inv_word >> (b * (vdel - 1))) & mask, layout)
+                dels[r] = d
+        prof = [0] * (g + 1)
+        acc = 0
+        for i in range(g, -1, -1):
+            if i == m:
+                acc = 1 if word in pi_words else 0
+            elif i not in through:
+                stored = prev.get(dels[i + 1])
+                if stored is None:
+                    if budget is None:
+                        raise ClosureViolationError(
+                            f"missing length-{m - 1} member below "
+                            f"{PackedPerm(word, m, layout)}: input is not a downset")
+                    acc = budget + 1  # dropped below
+                    break
+                if i < len(stored):
+                    acc += stored[i]
+            prof[i] = acc
+        if budget is not None and acc > budget:
+            continue
+        cur[word] = prof = tuple(prof)
+        yield host, prof
+
+
+def _max_insertion_hosts(layout: PermLayout, k: int, parents: deque[tuple[int, int, int]],
+                         ) -> Iterator[tuple[int, int, int]]:
+    """Yield the host 1, then every max-insertion child of each host the
+    consumer appends to ``parents`` (in the order appended), as (word,
+    length, inverse word) with the inverse valid in the top k+1 values."""
+    b, mask = layout.bits, layout.mask
+    yield pack([1], layout), 1, 1
+    while parents:
+        word, m, inv_word = parents.popleft()
+        clen = m + 1
+        top = b * m
+        shifts = range(b * max(0, m - k), top, b)  # the top k values' blocks
+        for i in range(1, clen + 1):
+            ci = inv_word
+            for shift in shifts:
+                if (ci >> shift) & mask >= i:
+                    ci += 1 << shift
+            yield insert_pos(word, i, clen, layout), clen, ci | (i << top)
+
+
+def _padded(prof: tuple[int, ...], k: int) -> HitProfile:
+    return HitProfile(prof + (0,) * (k + 2 - len(prof)))
+
+
+def _count_stream(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
+                  pat: PatternSet, through: frozenset[int] = frozenset(),
+                  emit: Callable[[PackedPerm, HitProfile], None] | None = None,
+                  stats: dict | None = None) -> CountTally:
+    """``_profile_hosts`` over (perm, partial inverse) pairs; an inverse
+    shallower than the top k+1 values is recomputed.  ``stats`` receives
+    ``profile_entries``, the number of P values computed."""
+    k = pat.k
+    layout = pat.layout
+
+    def hosts():
+        for perm, inv in stream:
+            if perm.layout is not layout and perm.layout != layout:
+                raise ValueError(f"host {perm} has layout {perm.layout}, "
+                                 f"the patterns have layout {layout}")
+            m = perm.length
+            if inv is None or inv.valid_count < min(m, k + 1):
+                inv = PartialInverse.from_perm(perm, min(m, k + 1))
+            yield perm.word, m, inv.word
+
+    tally = CountTally({})
+    entries = 0
+    for (word, m, _), prof in _profile_hosts(hosts(), pat, through):
+        entries += len(prof)
+        tally.add(m, prof[0])
+        if emit is not None:
+            emit(PackedPerm(word, m, layout), _padded(prof, k))
+    if stats is not None:
+        stats["profile_entries"] = entries
+    return tally
+
+
 def count_downset(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
                   pat: PatternSet,
                   emit: Callable[[PackedPerm, HitProfile], None] | None = None,
@@ -291,63 +425,10 @@ def count_downset(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
     shallower is recomputed here).  Profiles are stored only up to the first
     upfix of the host that is no upfix of any pattern; entries beyond are
     zero and are never requested by longer hosts.  A host whose deletion was
-    never streamed raises ClosureViolationError; a host streamed twice raises
-    ValueError.
+    never streamed raises ClosureViolationError; a host streamed twice, or
+    one whose word layout is not the patterns', raises ValueError.
     """
-    k = pat.k
-    layout = pat.layout
-    b, mask = layout.bits, layout.mask
-    pi_words = pat.words
-    tally = CountTally({})
-    prev: dict[int, tuple[int, ...]] = {0: ()}
-    cur: dict[int, tuple[int, ...]] = {}
-    cur_len = 0
-    for perm, inv in stream:
-        m = perm.length
-        if m < cur_len:
-            raise ValueError("stream must be nondecreasing in length")
-        while m > cur_len:
-            prev, cur = (cur if cur_len else prev), {}
-            cur_len += 1
-        if inv is None or inv.valid_count < min(m, k + 1):
-            inv = PartialInverse.from_perm(perm, min(m, k + 1))
-        word = perm.word
-        if word in cur:
-            raise ValueError(f"host {perm} streamed twice")
-        inv_word = inv.word
-        g = _scan_words(word, m, inv_word, min(k, m), pat, layout)
-        dels = [0] * (min(g + 1, m) + 1)
-        if m >= 1 and dels and len(dels) > 1:
-            d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
-            dels[1] = d
-            for r in range(2, len(dels)):
-                vdel = m - r + 1
-                pos_a = (inv_word >> (b * vdel)) & mask
-                pos_b = (inv_word >> (b * (vdel - 1))) & mask
-                d = insert_pos(d, pos_a, vdel, layout)
-                d = kill_pos(d, pos_b, layout)
-                dels[r] = d
-        prof = [0] * (g + 1)
-        acc = 0
-        for i in range(g, -1, -1):
-            if i == m:
-                acc = 1 if word in pi_words else 0
-            else:
-                try:
-                    stored = prev[dels[i + 1]]
-                except KeyError:
-                    raise ClosureViolationError(
-                        f"missing length-{m - 1} member below {perm}: "
-                        "input is not a downset") from None
-                acc = (stored[i] if i < len(stored) else 0) + acc
-            prof[i] = acc
-        cur[word] = tuple(prof)
-        tally.add(m, prof[0] if prof else 0)
-        if emit is not None:
-            values = [0] * (k + 2)
-            values[:len(prof)] = prof
-            emit(perm, HitProfile(tuple(values)))
-    return tally
+    return _count_stream(stream, pat, emit=emit)
 
 
 # ---------------------------------------------------------------------------
@@ -365,70 +446,22 @@ class BoundedHits:
 
 def build_bounded_hits(pat: PatternSet, n: int, budget: int) -> BoundedHits:
     """Bottom-up construction: a candidate is kept iff all its k+1 top
-    deletions were kept and its own hit count is within budget (partial
-    profile rows of rejected candidates are rolled back)."""
+    deletions were kept and its own hit count is within budget; only kept
+    hosts are extended."""
     if budget < 0:
         raise ValueError("hit budget must be nonnegative")
     layout = pat.layout
     _check_n(n, layout)
-    k = pat.k
-    b, mask = layout.bits, layout.mask
     result = BoundedHits(budget, {m: set() for m in range(1, n + 1)}, {})
-    profiles: dict[int, tuple[int, ...]] = {0: (0,) * (k + 2)}
-    one = pack([1], layout)
-    one_profile = [0] * (k + 2)
-    if one in pat.words:
-        one_profile[1] = 1
-        one_profile[0] = 1
-    if one_profile[0] > budget:
-        return result
-    profiles[one] = tuple(one_profile)
-    p_one = PackedPerm(one, 1, layout)
-    result.levels[1].add(p_one)
-    result.profiles[p_one] = HitProfile(tuple(one_profile))
-    queue: deque[tuple[int, int, int]] = deque()
-    if n > 1:
-        queue.append((one, 1, 1))
-    while queue:
-        word, m, inv_word = queue.popleft()
-        clen = m + 1
-        for i in range(1, m + 2):
-            cand = insert_pos(word, i, clen, layout)
-            ci = inv_word
-            for v in range(max(1, clen - k), clen):
-                shift = b * (v - 1)
-                pos = (ci >> shift) & mask
-                if pos >= i:
-                    ci += 1 << shift
-            ci |= i << (b * m)
-            values = [0] * (k + 2)
-            if clen <= k and cand in pat.words:
-                values[clen] = 1
-            dels = [0] * (min(k + 1, clen) + 1)
-            d = kill_pos(cand, (ci >> (b * (clen - 1))) & mask, layout)
-            dels[1] = d
-            for r in range(2, len(dels)):
-                vdel = clen - r + 1
-                pos_a = (ci >> (b * vdel)) & mask
-                pos_b = (ci >> (b * (vdel - 1))) & mask
-                d = insert_pos(d, pos_a, vdel, layout)
-                d = kill_pos(d, pos_b, layout)
-                dels[r] = d
-            ok = True
-            for idx in range(min(k, clen - 1), -1, -1):
-                stored = profiles.get(dels[idx + 1])
-                if stored is None:
-                    ok = False
-                    break
-                values[idx] = stored[idx] + values[idx + 1]
-            if not ok or values[0] > budget:
-                continue
-            profiles[cand] = tuple(values)
-            q = PackedPerm(cand, clen, layout)
-            result.levels[clen].add(q)
-            result.profiles[q] = HitProfile(tuple(values))
-            if clen < n:
-                queue.append((cand, clen, ci))
+    parents: deque[tuple[int, int, int]] = deque()
+    hosts = _max_insertion_hosts(layout, pat.k, parents)
+    for host, prof in _profile_hosts(hosts, pat, budget=budget):
+        word, m, _ = host
+        q = PackedPerm(word, m, layout)
+        result.levels[m].add(q)
+        result.profiles[q] = _padded(prof, pat.k)
+        if m < n:
+            parents.append(host)
     return result
 
 
@@ -446,61 +479,17 @@ def count_single_fast(pattern: PackedPerm, n: int,
     computed.
     """
     pat = PatternSet.build([pattern])
-    layout = pat.layout
-    _check_n(n, layout)
-    k = pat.k
-    b, mask = layout.bits, layout.mask
-    pi_word = pattern.word
+    _check_n(n, pat.layout)
     tally = CountTally({})
     entries = 0
-    prev: dict[int, tuple[int, ...]] = {0: ()}
-    level: list[tuple[int, int]] = [(pack([1], layout), 1)]
-    m = 1
-    while True:
-        cur: dict[int, tuple[int, ...]] = {}
-        for word, inv_word in level:
-            g = _scan_words(word, m, inv_word, min(k, m), pat, layout)
-            dels = [0] * (min(g + 1, m) + 1)
-            if len(dels) > 1:
-                d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
-                dels[1] = d
-                for r in range(2, len(dels)):
-                    vdel = m - r + 1
-                    pos_a = (inv_word >> (b * vdel)) & mask
-                    pos_b = (inv_word >> (b * (vdel - 1))) & mask
-                    d = insert_pos(d, pos_a, vdel, layout)
-                    d = kill_pos(d, pos_b, layout)
-                    dels[r] = d
-            prof = [0] * (g + 1)
-            acc = 0
-            for i in range(g, -1, -1):
-                if i == m:
-                    acc = 1 if word == pi_word else 0
-                else:
-                    stored = prev[dels[i + 1]]
-                    acc = (stored[i] if i < len(stored) else 0) + acc
-                prof[i] = acc
-            entries += g + 1
-            cur[word] = tuple(prof)
-            tally.add(m, prof[0])
-        if m == n:
-            break
-        nxt: list[tuple[int, int]] = []
-        clen = m + 1
-        for word, inv_word in level:
-            for i in range(1, m + 2):
-                cw = insert_pos(word, i, clen, layout)
-                ci = inv_word
-                for v in range(max(1, clen - k), clen):
-                    shift = b * (v - 1)
-                    pos = (ci >> shift) & mask
-                    if pos >= i:
-                        ci += 1 << shift
-                ci |= i << (b * m)
-                nxt.append((cw, ci))
-        prev = cur
-        level = nxt
-        m += 1
+    parents: deque[tuple[int, int, int]] = deque()
+    hosts = _max_insertion_hosts(pat.layout, pat.k, parents)
+    for host, prof in _profile_hosts(hosts, pat):
+        m = host[1]
+        entries += len(prof)
+        tally.add(m, prof[0])
+        if m < n:
+            parents.append(host)
     if stats is not None:
         stats["profile_entries"] = entries
     return tally

@@ -288,20 +288,22 @@ def delete_down(p: PackedPerm, rank: int) -> PackedPerm:
     n = p.length
     if not 1 <= rank <= n:
         raise IndexError(f"deletion rank {rank} out of 1..{n}")
+    return PackedPerm(_delete_down_word(p.word, n, rank, p.layout), n - 1, p.layout)
+
+
+def _delete_down_word(word: int, n: int, rank: int, layout: PermLayout) -> int:
+    """``delete_down`` on a packed word of length n."""
+    b, m = layout.bits, layout.mask
     value = n - rank + 1
-    b, m = p.layout.bits, p.layout.mask
-    word = p.word
-    pos = 0
-    for i in range(1, n + 1):
-        if (word >> (b * (i - 1))) & m == value:
-            pos = i
-            break
-    word = kill_pos(word, pos, p.layout)
+    pos = 1
+    while (word >> (b * (pos - 1))) & m != value:
+        pos += 1
+    word = kill_pos(word, pos, layout)
     out = 0
     for i in range(n - 1):
         v = (word >> (b * i)) & m
         out |= (v - 1 if v > value else v) << (b * i)
-    return PackedPerm(out, n - 1, p.layout)
+    return out
 
 
 def delete_down_next(p: PackedPerm, prev: PackedPerm, inv: PartialInverse, rank: int) -> PackedPerm:
@@ -365,21 +367,25 @@ def upfix_standardize_scan(p: PackedPerm, inv: PartialInverse, r: int,
     previous standardization (all of whose letters shift up by one).  Each
     step costs O(1); `table_lookup(i, st_word)` decides whether to continue.
     """
-    n = p.length
-    limit = min(r, n)
+    limit = min(r, p.length)
     if inv.valid_count < limit:
         raise ValueError(f"inverse valid for top {inv.valid_count} < {limit} values")
-    layout = p.layout
+    return _scan_upfixes(p.length, inv.word, limit, p.layout, table_lookup)
+
+
+def _scan_upfixes(n: int, inv_word: int, r: int, layout: PermLayout,
+                  table_lookup: Callable[[int, int], bool]) -> int:
+    """``upfix_standardize_scan`` of a length-n permutation, given the word
+    of an inverse valid in its top r values."""
     b, m = layout.bits, layout.mask
-    inv_word = inv.word
-    bitmap = UpfixBitmap()
+    bitmap = 0
     st = 0
     matched = 0
-    for i in range(1, limit + 1):
+    for i in range(1, r + 1):
         pos = (inv_word >> (b * (n - i))) & m
-        st = insert_pos(st + layout.ones(i - 1), bitmap.rank_below(pos) + 1, 1, layout)
-        bitmap = bitmap.mark(pos)
-        assert bitmap.size() == i
+        below = (bitmap & ((1 << (pos - 1)) - 1)).bit_count()
+        st = insert_pos(st + layout.ones(i - 1), below + 1, 1, layout)
+        bitmap |= 1 << (pos - 1)
         if not table_lookup(i, st):
             break
         matched = i

@@ -12,11 +12,12 @@ The profile recurrence extends the classical one with a pass-through case:
 when the constraint between the i-th and (i+1)-st largest pattern values is
 active (that is, k - i is constrained), a hit using the host's entire
 i-upfix cannot skip the (i+1)-st largest host letter, so P_i = P_{i+1} and
-no deletion term appears.  ``covincular_count_all`` and
-``covincular_count_set`` run the dense profile step of ``counting`` with
-these pass-through indices; ``covincular_count_downset`` (and
-``covincular_profile``, one host at a time) keep the hash-table form, which
-is also the reference for the dense one.
+no deletion term appears.  Every engine here is an engine of ``counting``
+given these pass-through indices: ``covincular_count_all`` and
+``covincular_count_set`` run its dense profile step,
+``covincular_count_downset`` its hash-table step for streamed downsets (the
+reference for the dense one), and ``covincular_profile`` its single-host
+recurrence.
 
 Only counting is provided.  Building the avoider set with these patterns is
 rejected: deleting a letter can create a covincular hit that was not there,
@@ -32,19 +33,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .avoiders import PatternSet, _scan_words
-from .counting import ClosureViolationError, CountTally, HitProfile
-from .counting import (_DENSE_MAX_N, _bincount_into, _check_n, _dense_levels,
-                       _dense_tally, _histogram_tally, _lowmem_tally)
-from .permcore import (
-    PackedPerm,
-    PartialInverse,
-    delete_down,
-    delete_down_next,
-    insert_pos,
-    inverse_perm,
-    kill_pos,
-)
+from .avoiders import PatternSet, _check_n
+from .counting import CountTally, HitProfile
+from .counting import (_DENSE_MAX_N, _bincount_into, _count_stream, _dense_levels,
+                       _dense_tally, _histogram_tally, _host_profile, _lowmem_tally)
+from .permcore import PackedPerm, PartialInverse, inverse_perm
 
 
 class UnsupportedConstructionError(NotImplementedError):
@@ -145,89 +138,8 @@ def covincular_profile(p: PackedPerm, cov: CovincularPattern,
     profile tests p against the pattern itself (the anchors hold trivially
     there); everything above k or n is zero.
     """
-    n = p.length
-    k = cov.k
-    values = [0] * (k + 2)
-    if n <= k and p.word == cov.pattern.word:
-        values[n] = 1
-    need = min(k, n - 1)
-    dels: list[PackedPerm | None] = [None] * (need + 2)
-    if need >= 0 and n >= 1:
-        if inv is not None and inv.valid_count >= min(k + 1, n):
-            prev = delete_down(p, 1)
-            dels[1] = prev
-            for r in range(2, need + 2):
-                prev = delete_down_next(p, prev, inv, r - 1)
-                dels[r] = prev
-        else:
-            for r in range(1, need + 2):
-                dels[r] = delete_down(p, r)
-    for i in range(min(k, n - 1), -1, -1):
-        if cov.passes_through(i):
-            values[i] = values[i + 1]
-            continue
-        try:
-            values[i] = lookup(dels[i + 1], i) + values[i + 1]
-        except KeyError as exc:
-            raise ClosureViolationError(
-                f"missing P_{i} of {dels[i + 1]}: input is not a downset") from exc
-    return HitProfile(tuple(values))
-
-
-def _covincular_tally(cov: CovincularPattern, stream, layout,
-                      stats: dict | None) -> CountTally:
-    """Shared engine: stream of (word, length, inv_word) in nondecreasing
-    length, profiles truncated at the first upfix mismatch against the
-    pattern's upfixes."""
-    pat = PatternSet.build([cov.pattern])
-    k = cov.k
-    b, mask = layout.bits, layout.mask
-    pi_word = cov.pattern.word
-    tally = CountTally({})
-    entries = 0
-    prev: dict[int, tuple[int, ...]] = {0: ()}
-    cur: dict[int, tuple[int, ...]] = {}
-    cur_len = 0
-    for word, m, inv_word in stream:
-        if m < cur_len:
-            raise ValueError("stream must be nondecreasing in length")
-        while m > cur_len:
-            prev, cur = (cur if cur_len else prev), {}
-            cur_len += 1
-        g = _scan_words(word, m, inv_word, min(k, m), pat, layout)
-        dels = [0] * (min(g + 1, m) + 1)
-        if len(dels) > 1:
-            d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
-            dels[1] = d
-            for r in range(2, len(dels)):
-                vdel = m - r + 1
-                pos_a = (inv_word >> (b * vdel)) & mask
-                pos_b = (inv_word >> (b * (vdel - 1))) & mask
-                d = insert_pos(d, pos_a, vdel, layout)
-                d = kill_pos(d, pos_b, layout)
-                dels[r] = d
-        prof = [0] * (g + 1)
-        acc = 0
-        for i in range(g, -1, -1):
-            if i == m:
-                acc = 1 if word == pi_word else 0
-            elif cov.passes_through(i):
-                pass
-            else:
-                try:
-                    stored = prev[dels[i + 1]]
-                except KeyError:
-                    raise ClosureViolationError(
-                        f"missing length-{m - 1} member: input is not a downset"
-                    ) from None
-                acc = (stored[i] if i < len(stored) else 0) + acc
-            prof[i] = acc
-        entries += g + 1
-        cur[word] = tuple(prof)
-        tally.add(m, prof[0] if prof else 0)
-    if stats is not None:
-        stats["profile_entries"] = entries
-    return tally
+    return _host_profile(p, cov.k, p.word == cov.pattern.word, lookup, inv,
+                         _through(cov))
 
 
 def covincular_count_all(cov: CovincularPattern, n: int,
@@ -258,18 +170,11 @@ def covincular_count_downset(
         stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
         cov: CovincularPattern, stats: dict | None = None) -> CountTally:
     """Tally over a downset streamed in nondecreasing length with partial
-    inverses (recomputed when too shallow), as in ``counting.count_downset``."""
-    layout = cov.pattern.layout
-    k = cov.k
-
-    def gen():
-        for perm, inv in stream:
-            m = perm.length
-            if inv is None or inv.valid_count < min(m, k + 1):
-                inv = PartialInverse.from_perm(perm, min(m, k + 1))
-            yield perm.word, m, inv.word
-
-    return _covincular_tally(cov, gen(), layout, stats)
+    inverses (recomputed when too shallow), as in ``counting.count_downset``:
+    the same hash-table step, with the pass-through indices of ``cov``.
+    ``stats['profile_entries']`` is the number of P values computed."""
+    return _count_stream(stream, PatternSet.build([cov.pattern]), _through(cov),
+                         stats=stats)
 
 
 def covincular_count_set(patterns: Iterable[CovincularPattern], n: int) -> CountTally:

@@ -357,3 +357,68 @@ def test_auto_engine_routes_by_n(monkeypatch, capsys):
     cli_count_tally(["count", "--patterns", "123", "--max-n", "5"], capsys)
     assert calls == ["count_all", "count_all", "count_all_lowmem"]
 
+
+
+# ---------------------------------------------------------------------------
+# the hash-table step shared by count_downset, count_single_fast and
+# build_bounded_hits
+
+# stats['profile_entries'] (the P values computed) pinned to the values of
+# the engines as they stood before they shared one step
+SINGLE_FAST_ENTRIES_N7 = {"123": 15767, "2413": 16013, "1": 11826, "12": 14782, "21": 14782}
+IDENTITY_ENTRIES_N9 = {3: 1090967, 4: 1108013, 5: 1111422, 6: 1111990}
+
+
+@pytest.mark.parametrize("text", sorted(SINGLE_FAST_ENTRIES_N7))
+def test_single_fast_profile_entries_pinned(text):
+    stats = {}
+    count_single_fast(parse_perm(text), 7, stats)
+    assert stats["profile_entries"] == SINGLE_FAST_ENTRIES_N7[text]
+
+
+def test_single_fast_identity_profile_entries_pinned():
+    for m, want in IDENTITY_ENTRIES_N9.items():
+        stats = {}
+        count_single_fast(PackedPerm.identity(m), 9, stats)
+        assert stats["profile_entries"] == want, m
+
+
+@pytest.mark.parametrize("text", ("1", "12", "1 12", "21 123", "2413 1", "231 4321"))
+def test_bounded_hits_matches_oracle_filter(text):
+    # hits never grow under deletion, so {p : hits(p) <= j} is a downset and
+    # the construction must return exactly it
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        hits = {p: oracle_count_hits(p, pat) for m in range(1, 7) for p in all_perms(m, layout)}
+        for budget in (0, 1, 2, 5):
+            bh = build_bounded_hits(pat, 6, budget)
+            for m in range(1, 7):
+                want = {p for p in all_perms(m, layout) if hits[p] <= budget}
+                assert bh.levels[m] == want, (layout, budget, m)
+            for perm, prof in bh.profiles.items():
+                assert prof.p0 == hits[perm] and len(prof) == pat.k + 2
+
+
+@pytest.mark.parametrize("hosts, patterns", [(NIBBLE, WIDE), (WIDE, NIBBLE)])
+def test_count_downset_rejects_other_layout(hosts, patterns):
+    stream = [(p, None) for p in max_insertion_stream(3, hosts)]
+    with pytest.raises(ValueError) as err:
+        count_downset(stream, PatternSet.parse("12", patterns))
+    assert str(hosts) in str(err.value) and str(patterns) in str(err.value)
+
+
+def test_count_downset_emits_count_profile():
+    # emitted profiles stop at the host's last pattern upfix and are padded
+    # with zeros; the single-host recurrence computes every entry
+    for text in ("231", "12 321", "1 2413"):
+        pat = PatternSet.parse(text)
+        emitted = {}
+        count_downset([(p, None) for p in max_insertion_stream(6)], pat,
+                      emit=emitted.__setitem__)
+
+        def lookup(q, i):
+            return emitted[q][i] if q.length else 0
+
+        for p, prof in emitted.items():
+            assert count_profile(p, pat, lookup) == prof, (text, str(p))
+            assert count_profile(p, pat, lookup, PartialInverse.from_perm(p)) == prof

@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 
 from permscan.avoiders import PatternSet, enumerate_avoiders_fast
-from permscan.counting import ClosureViolationError, count_all
+from permscan.counting import ClosureViolationError, count_all, count_downset
 from permscan.oracle import oracle_count_covincular
 from permscan.permcore import (
+    NIBBLE,
+    WIDE,
     PackedPerm,
     PartialInverse,
     inverse_perm,
@@ -287,3 +289,37 @@ def test_count_set_needs_dense_levels():
     covs = [CovincularPattern(parse_perm("12"), frozenset({1}))]
     with pytest.raises(ValueError, match="whole m! levels"):
         covincular_count_set(covs, 12)
+
+
+def test_downset_rejects_duplicate_host():
+    one, twelve = parse_perm("1"), parse_perm("12")
+    cov = CovincularPattern(twelve, frozenset())
+    with pytest.raises(ValueError, match="twice"):
+        covincular_count_downset([(one, None), (one, None), (twelve, None)], cov)
+
+
+@pytest.mark.parametrize("hosts, patterns", [(NIBBLE, WIDE), (WIDE, NIBBLE)])
+def test_downset_rejects_other_layout(hosts, patterns):
+    stream = [(p, None) for p in max_insertion_stream(3, hosts)]
+    cov = CovincularPattern(parse_perm("12", patterns), frozenset({1}))
+    with pytest.raises(ValueError) as err:
+        covincular_count_downset(stream, cov)
+    assert str(hosts) in str(err.value) and str(patterns) in str(err.value)
+
+
+def test_downset_without_adjacencies_is_count_downset():
+    for layout in (NIBBLE, WIDE):
+        stream = [(p, None) for p in max_insertion_stream(7, layout)]
+        for text in ("1", "12", "132", "2413"):
+            pi = parse_perm(text, layout)
+            got = covincular_count_downset(stream, CovincularPattern(pi, frozenset()))
+            assert got.by_length == count_downset(stream, PatternSet.build([pi])).by_length
+
+
+def test_downset_profile_entries_pinned():
+    # the P values computed, pinned to the value before the streamed
+    # engines shared one step
+    stats = {}
+    cov = CovincularPattern(parse_perm("132"), frozenset({1}))
+    covincular_count_downset([(p, None) for p in max_insertion_stream(7)], cov, stats)
+    assert stats["profile_entries"] == 15767
