@@ -225,6 +225,7 @@ class _MineProgress:
 
 
 def cmd_mine(args) -> int:
+    sq.check_match_args(args.max_shift, args.min_overlap)   # before reading the dump
     db = sq.OeisDb.load(args.oeis) if args.oeis else None
     progress = _MineProgress()
     rows = sq.mine(args.pattern_length, args.min_set_size, args.max_n, db,

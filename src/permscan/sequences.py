@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import gzip
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -270,57 +271,225 @@ class OeisEntry:
     terms: tuple[int, ...]
 
 
+def _parse_line(line: str, lineno: int) -> OeisEntry | None:
+    """The entry of one dump line, or None for a blank or ``#`` comment
+    line.  Raises OeisFormatError naming the line when it is malformed."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    try:
+        name, rest = line.split(None, 1)
+        if not name.startswith("A"):
+            raise ValueError("line must start with an A-number")
+        anum = int(name[1:])
+        terms = tuple(int(t) for t in rest.strip().strip(",").split(",") if t)
+    except ValueError as exc:
+        raise OeisFormatError(f"malformed OEIS line {lineno}: {exc}") from exc
+    return OeisEntry(anum, terms)
+
+
+def _bad_pairs() -> np.ndarray:
+    """The byte pairs that cannot stand next to each other in a plain entry
+    line ``A<digits> ,<t>,...,<t>,`` with terms ``-?<digits>``, as a bool
+    table indexed by the little-endian ``uint16`` of the pair.  Any byte may
+    follow a newline."""
+    digits = b"0123456789"
+    ok = np.zeros((256, 256), dtype=bool)   # [second byte, first byte]
+    for first, second in ((b"\n", bytes(range(256))), (b"A", digits),
+                          (digits, digits + b" ,"), (b" ", b","),
+                          (b",", digits + b"-\n"), (b"-", digits)):
+        ok[np.ix_(list(second), list(first))] = True
+    return ~ok.ravel()
+
+
+_BAD_PAIR = _bad_pairs()
+_SCAN_BYTES = 1 << 20   # bytes per block of the load scan
+_INDEX_ENTRIES = 1024   # entries per block of the term index build
+_MAX_NAME_DIGITS = 18   # a plain line's A-number fits in int64
+
 # OEIS index words: the low _HASH_BITS bits of a term above the flat
 # (entry, shift) position of that term
 _HASH_BITS = 32
 _LOW = (1 << _HASH_BITS) - 1
 
 
-@dataclass
+def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per line of the newline-terminated ``data``: its start, its end (the
+    offset of its newline), its A-number and whether it is a plain entry
+    line.  The A-number is only meaningful on plain lines.  Byte arrays are
+    scanned in blocks of ``_SCAN_BYTES``."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    newlines, bad, spaces = [], [], []
+    for lo in range(0, len(b), _SCAN_BYTES):
+        hi = min(lo + _SCAN_BYTES, len(b) - 1)   # pairs that start in [lo, hi)
+        newlines.append(np.flatnonzero(b[lo:hi] == ord("\n")) + lo)
+        spaces.append(np.flatnonzero(b[lo:hi] == ord(" ")) + lo)
+        for first in (lo, lo + 1):
+            pairs = np.frombuffer(data, dtype="<u2", offset=first,
+                                  count=max(0, (hi - first + 1) // 2))
+            bad.append(np.flatnonzero(_BAD_PAIR[pairs]) * 2 + first)
+    ends = np.concatenate(newlines + [np.array([len(b) - 1])])
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    spaces = np.concatenate(spaces)
+    line_of_space = np.searchsorted(ends, spaces)
+    space = np.zeros(len(ends), dtype=np.int64)
+    space[line_of_space] = spaces
+    # plain: no bad pair, one space, and only digits, at most
+    # _MAX_NAME_DIGITS, between the "A" and the space
+    plain = ((b[starts] == ord("A"))
+             & (np.bincount(line_of_space, minlength=len(ends)) == 1))
+    plain[np.searchsorted(ends, np.concatenate(bad))] = False
+    digits = space - starts - 1
+    plain &= digits <= _MAX_NAME_DIGITS
+    anums = np.zeros(len(ends), dtype=np.int64)
+    for j in range(int(digits[plain].max()) if plain.any() else 0):
+        live = plain & (j < digits)
+        d = b[np.minimum(starts + 1 + j, len(b) - 1)] - np.uint8(ord("0"))
+        plain &= ~live | (d < 10)
+        anums = np.where(live, anums * 10 + d, anums)
+    return starts, ends, anums, plain
+
+
+def _decimal_low_bits(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``int(b[lo:hi]) mod 2**32`` of each span of decimal digits, by Horner
+    steps in wrapping ``uint32``, longest spans first."""
+    lo = np.maximum(lo, hi - _HASH_BITS)   # 10**32 is a multiple of 2**32
+    length = (hi - lo).astype(np.uint8)
+    order = np.argsort(length, kind="stable")   # a radix sort on uint8
+    length, lo = length[order], lo[order]
+    val = np.zeros(len(order), dtype=np.uint32)
+    for j in range(int(length[-1]) if len(order) else 0):
+        live = np.searchsorted(length, j, side="right")
+        v = val[live:]
+        v *= np.uint32(10)
+        v += b[lo[live:] + j] - np.uint8(48)
+    out = np.empty_like(val)
+    out[order] = val
+    return out
+
+
 class OeisDb:
     """A loaded OEIS "stripped" dump: one line per sequence,
-    ``A000045 ,0,1,1,2,3,5,...,`` with ``#`` comment lines."""
+    ``A000045 ,0,1,1,2,3,5,...,`` with ``#`` comment lines.
 
-    entries: list[OeisEntry]
-    _sorted: list[OeisEntry] = field(default_factory=list, repr=False)
-    _indexes: dict[int, tuple[int, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False)
+    The dump is kept as its bytes, with the lines of its entries sorted by
+    A-number.  ``load`` checks every line but converts no term: a line in
+    the plain form ``A<digits> ,<term>,...,<term>,`` (terms ``-?<digits>``)
+    is checked by a vectorized byte scan, and any other line goes through
+    the line parser, which rejects it or yields an entry that is stored in
+    the plain form.  A lookup converts only the terms it compares
+    (``_matches_at``); every term becomes an exact int only when
+    ``entries`` or ``_sorted`` is read.
+    """
 
-    def __post_init__(self) -> None:
-        anums = [e.anum for e in self.entries]
-        if len(set(anums)) != len(anums):
-            raise OeisFormatError("duplicate A-numbers in OEIS db")
-        self._sorted = sorted(self.entries, key=lambda e: e.anum)
+    def __init__(self, entries: Iterable[OeisEntry] = ()) -> None:
+        self._setup(b"", _NO_LINES, list(enumerate(entries, start=1)))
 
     @classmethod
     def load(cls, path: str) -> "OeisDb":
-        if str(path).endswith(".gz"):
-            fh: TextIO = gzip.open(path, "rt", encoding="utf-8")
-        else:
-            fh = open(path, "rt", encoding="utf-8")
-        with fh:
-            return cls.parse(fh)
+        opener = gzip.open if str(path).endswith(".gz") else open
+        with opener(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            data.decode("utf-8")   # a dump that is not UTF-8 fails here
+        if b"\r" in data:         # universal newlines, as in text mode
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        if not data:
+            return cls()
+        starts, ends, anums, plain = _scan(data)
+        parsed = []
+        for n in np.flatnonzero(~plain & (ends > starts)).tolist():
+            if data[starts[n]] == ord("#"):
+                continue
+            entry = _parse_line(data[starts[n]:ends[n]].decode("utf-8"), n + 1)
+            if entry is not None:
+                parsed.append((n + 1, entry))
+        lines = np.flatnonzero(plain)
+        db = cls.__new__(cls)
+        db._setup(data, (anums[lines], starts[lines], ends[lines], lines + 1), parsed)
+        return db
 
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "OeisDb":
-        entries = []
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                name, rest = line.split(None, 1)
-                if not name.startswith("A"):
-                    raise ValueError("line must start with an A-number")
-                anum = int(name[1:])
-                terms = tuple(int(t) for t in rest.strip().strip(",").split(",") if t)
-            except ValueError as exc:
-                raise OeisFormatError(f"malformed OEIS line {lineno}: {exc}") from exc
-            entries.append(OeisEntry(anum, terms))
-        return cls(entries)
+        parsed = [(n, e) for n, line in enumerate(lines, start=1)
+                  if (e := _parse_line(line, n)) is not None]
+        db = cls.__new__(cls)
+        db._setup(b"", _NO_LINES, parsed)
+        return db
+
+    def _setup(self, text: bytes, plain: tuple[np.ndarray, ...],
+               parsed: list[tuple[int, OeisEntry]]) -> None:
+        """Store, sorted by A-number, the plain lines of ``text`` (arrays of
+        A-numbers, starts, ends and line numbers) and the ``(line number,
+        entry)`` pairs of ``parsed``, which are appended to the text as
+        plain lines."""
+        anums, starts, ends, linenos = plain
+        if parsed:
+            for n, e in parsed:
+                if not -(1 << 63) <= e.anum < 1 << 63:
+                    raise OeisFormatError(f"malformed OEIS line {n}: A-number out of range")
+            tail = [f"A{e.anum} ," + "".join(f"{t}," for t in e.terms) + "\n"
+                    for _, e in parsed]
+            lengths = np.array([len(t) for t in tail], dtype=np.int64)
+            tail_ends = len(text) + np.cumsum(lengths)
+            anums = np.concatenate((anums, [e.anum for _, e in parsed]))
+            starts = np.concatenate((starts, tail_ends - lengths))
+            ends = np.concatenate((ends, tail_ends - 1))
+            linenos = np.concatenate((linenos, [n for n, _ in parsed]))
+            text += "".join(tail).encode()
+        order = np.argsort(anums, kind="stable")
+        self._text = text
+        self._anums, self._starts, self._ends, self._linenos = (
+            a[order] for a in (anums, starts, ends, linenos))
+        dup = np.flatnonzero(self._anums[1:] == self._anums[:-1])
+        if dup.size:
+            later = np.maximum(self._linenos[dup], self._linenos[dup + 1])
+            r = dup[np.argmin(later)]
+            raise OeisFormatError(f"duplicate A-number A{self._anums[r]:06d} "
+                                  f"on OEIS line {later.min()}")
+        self._indexes: dict[int, tuple[int, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._anums)
+
+    def _matches_at(self, r: int, s: int, q: tuple[int, ...], need: int) -> bool:
+        """Whether the terms of the entry of rank r in A-number order, from
+        position s on, equal the query over their overlap, and that overlap
+        holds at least ``need`` terms.  Converts only the overlap's terms,
+        stopping at the first that differs."""
+        line = self._text[self._starts[r]:self._ends[r]]
+        at = line.index(b",")
+        for _ in range(s):
+            at = line.index(b",", at + 1)
+        fields = line[at + 1:].split(b",", len(q))   # a plain line ends with ","
+        overlap = min(len(q), len(fields) - 1)
+        return overlap >= need and all(int(f) == t for f, t in zip(fields[:overlap], q))
+
+    @cached_property
+    def _sorted(self) -> list[OeisEntry]:
+        return [_parse_line(self._text[a:b].decode("ascii"), n) for a, b, n in
+                zip(self._starts.tolist(), self._ends.tolist(), self._linenos.tolist())]
+
+    @cached_property
+    def entries(self) -> list[OeisEntry]:
+        """The entries in the order of their lines."""
+        return [self._sorted[r] for r in np.argsort(self._linenos).tolist()]
+
+    def _term_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per block of ``_INDEX_ENTRIES`` lines in text order: their ranks,
+        the offsets of the commas in their span of the text, the index of
+        each line's first comma in that array, and each line's term count."""
+        text_order = np.argsort(self._starts)
+        b = np.frombuffer(self._text, dtype=np.uint8)
+        for i in range(0, len(text_order), _INDEX_ENTRIES):
+            ranks = text_order[i:i + _INDEX_ENTRIES]
+            starts, ends = self._starts[ranks], self._ends[ranks]
+            lo = starts[0]
+            commas = np.flatnonzero(b[lo:ends[-1]] == ord(",")) + lo
+            first = np.searchsorted(commas, starts)
+            yield ranks, commas, first, np.searchsorted(commas, ends) - first - 1
 
     def _term_index(self, max_shift: int) -> tuple[int, np.ndarray]:
         """``(stride, words)``: every term at positions 0..max_shift of
@@ -331,28 +500,57 @@ class OeisDb:
         the word ``(term mod 2**32) << 32 | r * stride + s``, where stride is
         the number of positions kept per entry.  Sorting groups the words of
         equal low term bits and orders each group by A-number, then shift.
+        The low term bits come straight from each term's digits, a block of
+        entries at a time.
         """
         cached = self._indexes.get(max_shift)
         if cached is None:
-            longest = max((len(e.terms) for e in self._sorted), default=0)
-            stride = min(max_shift + 1, longest)
-            if len(self._sorted) * stride > _LOW + 1:
+            stride = 0   # min(max_shift + 1, most terms of an entry)
+            for *_, nterms in self._term_blocks():
+                stride = max(stride, min(max_shift + 1, int(nterms.max())))
+                if stride == max_shift + 1:
+                    break
+            if len(self) * stride > _LOW + 1:
                 raise ValueError("OEIS db too large for a 32-bit term index")
-            words = np.fromiter(
-                ((t & _LOW) << _HASH_BITS | (r * stride + s)
-                 for r, e in enumerate(self._sorted)
-                 for s, t in enumerate(e.terms[:stride])),
-                dtype=np.uint64)
+            b = np.frombuffer(self._text, dtype=np.uint8)
+            words = np.empty(len(self) * stride, dtype=np.uint64)
+            filled = 0
+            for ranks, commas, first, nterms in self._term_blocks():
+                k = np.minimum(nterms, stride)
+                owner = np.repeat(np.arange(len(k)), k)
+                s = np.arange(len(owner)) - np.repeat(np.cumsum(k) - k, k)
+                comma = first[owner] + s
+                lo, hi = commas[comma] + 1, commas[comma + 1]
+                neg = b[lo] == ord("-")
+                low = _decimal_low_bits(b, lo + neg, hi)
+                np.negative(low, out=low, where=neg)
+                block = words[filled:filled + len(low)]
+                np.left_shift(low, _HASH_BITS, out=block, dtype=np.uint64)
+                block |= (ranks[owner] * stride + s).astype(np.uint64)
+                filled += len(low)
+            words = words[:filled]
             words.sort()
             cached = self._indexes[max_shift] = (stride, words)
         return cached
 
 
-def _check_match_args(max_shift: int, min_overlap: int) -> None:
+_NO_LINES = tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+
+
+def check_match_args(max_shift: int, min_overlap: int) -> None:
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be at least 1, got {min_overlap}")
     if max_shift < 0:
         raise ValueError(f"max_shift must be at least 0, got {max_shift}")
+
+
+def _holders(words: np.ndarray, term: int) -> np.ndarray:
+    """The ascending flat positions of the index words whose term has the
+    low bits of ``term``: two binary searches."""
+    key = (int(term) & _LOW) << _HASH_BITS
+    lo = np.searchsorted(words, np.uint64(key), side="left")
+    hi = np.searchsorted(words, np.uint64(key | _LOW), side="right")
+    return words[lo:hi] & np.uint64(_LOW)
 
 
 def oeis_match(terms: Sequence[int], db: OeisDb, max_shift: int = 14,
@@ -368,29 +566,32 @@ def oeis_match(terms: Sequence[int], db: OeisDb, max_shift: int = 14,
 
     Cost: a match needs the entry term at its shift to equal the first query
     term, so only those (entry, shift) pairs are checked.  They are found by
-    a binary search over the db's term index (``OeisDb._term_index``), which
-    the first lookup for a given max_shift builds (about 0.13 s and 4.3 MB
-    for 37,000 entries at max_shift 14).  A later lookup costs two binary
-    searches plus one exact comparison, about a microsecond, per candidate;
-    entries whose term only agrees in its low 32 bits are candidates that
+    binary searches over the db's term index (``OeisDb._term_index``), which
+    the first lookup for a given max_shift builds from the dump's digits (see
+    README, "OEIS input", for its measured cost).  When the overlap must hold
+    two terms, a pair whose next term is in the index but lacks the second
+    query term's low bits is dropped without reading its entry.  Each pair
+    left, in A-number order until one matches, gets an exact comparison that
+    converts the entry's terms from text up to the first that differs;
+    entries whose terms only agree in their low 32 bits are candidates that
     the comparison rejects.
     """
-    _check_match_args(max_shift, min_overlap)
+    check_match_args(max_shift, min_overlap)
     q = tuple(terms)
     if not q:
         return None
     need = min(len(q), min_overlap)
     stride, words = db._term_index(max_shift)
-    key = (int(q[0]) & _LOW) << _HASH_BITS
-    lo = np.searchsorted(words, np.uint64(key), side="left")
-    hi = np.searchsorted(words, np.uint64(key | _LOW), side="right")
-    for flat in (words[lo:hi] & np.uint64(_LOW)).tolist():
+    flats = _holders(words, q[0])
+    if need >= 2 and flats.size:
+        # the entry term after the first must equal q[1]; where the index
+        # holds that term, it is among q[1]'s holders
+        beyond = flats % np.uint64(stride) == np.uint64(stride - 1)
+        flats = flats[beyond | np.isin(flats + np.uint64(1), _holders(words, q[1]))]
+    for flat in flats.tolist():
         r, s = divmod(flat, stride)
-        entry = db._sorted[r]
-        e = entry.terms
-        overlap = min(len(q), len(e) - s)
-        if overlap >= need and e[s:s + overlap] == q[:overlap]:
-            return entry.anum, s
+        if db._matches_at(r, s, q, need):
+            return int(db._anums[r]), s
     return None
 
 
@@ -444,7 +645,7 @@ def mine(pattern_length: int, min_size: int, n_max: int, db: OeisDb | None,
     classes done and the seconds spent so far counting (``PatternSet.build``
     and ``count_avoiders_fast``) and in ``mine_row`` (growth filter and
     OEIS lookup)."""
-    _check_match_args(max_shift, min_overlap)
+    check_match_args(max_shift, min_overlap)
     layout = layout_for(n_max)
     rows = []
     counting = lookup = 0.0

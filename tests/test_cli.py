@@ -291,3 +291,10 @@ def test_wide_mode(capsys):
     code, out2, _ = run_cli(capsys, "avoid", "--patterns", "123 321",
                             "--max-n", "10", "--wide")
     assert code == 0
+
+
+def test_mine_checks_lookup_args_before_reading_the_dump(capsys):
+    code, out, err = run_cli(capsys, "mine", "--min-overlap", "0", "--oeis", "/nonexistent",
+                             "--pattern-length", "3", "--max-n", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: min_overlap") and "No such file" not in err

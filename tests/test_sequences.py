@@ -440,3 +440,212 @@ def test_pruned_masks_match_unpruned(k, min_size, include_full):
     assert pruned.dtype == want.dtype == np.uint32
     assert hashlib.sha256(pruned.tobytes()).hexdigest() == \
         hashlib.sha256(want.tobytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the bytes loader against the line-by-line loader it replaced
+
+def reference_load(path):
+    """The loop ``OeisDb.load`` ran before it read the dump as bytes: the
+    text-mode file line by line, every term an int.  Returns the entries in
+    line order; raises as that loader did."""
+    fh = gzip.open(path, "rt", encoding="utf-8") if str(path).endswith(".gz") \
+        else open(path, "rt", encoding="utf-8")
+    entries = []
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                name, rest = line.split(None, 1)
+                if not name.startswith("A"):
+                    raise ValueError("line must start with an A-number")
+                anum = int(name[1:])
+                terms = tuple(int(t) for t in rest.strip().strip(",").split(",") if t)
+            except ValueError as exc:
+                raise OeisFormatError(f"malformed OEIS line {lineno}: {exc}") from exc
+            entries.append(OeisEntry(anum, terms))
+    if len({e.anum for e in entries}) != len(entries):
+        raise OeisFormatError("duplicate A-numbers in OEIS db")
+    return entries
+
+
+def reference_index(entries, max_shift):
+    """The term index as it was built from int terms: ``(stride, words)``."""
+    ranked = sorted(entries, key=lambda e: e.anum)
+    stride = min(max_shift + 1, max((len(e.terms) for e in ranked), default=0))
+    low = (1 << _HASH_BITS) - 1
+    words = np.array(sorted((t & low) << _HASH_BITS | (r * stride + s)
+                            for r, e in enumerate(ranked)
+                            for s, t in enumerate(e.terms[:stride])), dtype=np.uint64)
+    return stride, words
+
+
+def _random_dump(rng, size):
+    """Dump text with comment and blank lines, negative terms, terms of 2**64
+    and more, empty entries, entries shorter and longer than the index
+    stride, A-numbers out of order, and lines the parser accepts in forms
+    other than the plain ``A<digits> ,<t>,...,<t>,``."""
+    big = [2**64, 2**64 + 7, -(2**64) - 1, 3 * 2**70 - 1, 10**40 + 3, -(10**33)]
+    anums = rng.sample(range(0, 999_999), size)
+    lines = ["# synthetic dump", ""]
+    for anum in anums:
+        n = rng.choice([0, 1, 2, rng.randint(3, 14), 15, rng.randint(16, 40)])
+        terms = [rng.choice([rng.randint(0, 9), rng.randint(-10**6, 10**12), rng.choice(big),
+                             rng.randint(0, 2**32) + (1 << 32)]) for _ in range(n)]
+        body = "".join(f"{t}," for t in terms)
+        style = rng.random()
+        if style < 0.8:
+            line = f"A{anum:06d} ,{body}"
+        elif style < 0.85:   # no trailing comma
+            line = f"A{anum:06d} ,{body.rstrip(',')}"
+        elif style < 0.9:    # spaces, signs and empty fields that int() accepts
+            line = f"  A{anum} , " + ",, ".join(f"+{t}" if t >= 0 else str(t) for t in terms) + " "
+        elif style < 0.95:   # leading zeros
+            line = f"A{anum:06d} ," + "".join(f"{t:04d}," for t in terms)
+        else:
+            line = f"A{anum:06d}\t,{body}"
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "#  comment, with -1 ,2, and A123 ,4,", "   "]))
+    return lines
+
+
+def _write_dump(tmp_path, name, lines, newline, gz):
+    text = "".join(line + newline for line in lines)
+    path = tmp_path / (name + (".gz" if gz else ""))
+    with (gzip.open(path, "wb") if gz else open(path, "wb")) as fh:
+        fh.write(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_matches_reference_loader(tmp_path, gz, newline):
+    rng = random.Random(f"load-{gz}-{newline!r}")
+    for i in range(4):
+        lines = _random_dump(rng, rng.randint(1, 300))
+        path = _write_dump(tmp_path, f"dump{i}", lines, newline, gz)
+        want = reference_load(path)
+        db = OeisDb.load(str(path))
+        assert len(db) == len(want)
+        assert db.entries == want
+        assert db._sorted == sorted(want, key=lambda e: e.anum)
+        for max_shift in (0, 3, 14, 20):
+            stride, words = db._term_index(max_shift)
+            ref_stride, ref_words = reference_index(want, max_shift)
+            assert stride == ref_stride
+            assert words.dtype == np.uint64 and words.tobytes() == ref_words.tobytes()
+
+
+def test_load_without_final_newline_and_empty(tmp_path):
+    path = tmp_path / "dump"
+    path.write_bytes(b"# c\nA000002 ,5,-6,\nA000001 ,1,2,3,")
+    db = OeisDb.load(str(path))
+    assert db.entries == [OeisEntry(2, (5, -6)), OeisEntry(1, (1, 2, 3))]
+    path.write_bytes(b"")
+    assert len(OeisDb.load(str(path))) == 0
+    path.write_bytes(b"\n# only a comment\n\n")
+    assert len(OeisDb.load(str(path))) == 0
+    assert oeis_match([1, 2], OeisDb.load(str(path))) is None
+
+
+def test_load_a_numbers_beyond_the_plain_form(tmp_path):
+    """A-numbers of 19 digits go through the line parser and load; those
+    beyond 64 bits are refused, naming the line."""
+    path = tmp_path / "dump"
+    path.write_text("A1000000000000000000 ,4,5,\nA000001 ,1,\nA-7 ,2,\n")
+    db = OeisDb.load(str(path))
+    assert db.entries == reference_load(path)
+    assert oeis_match([4, 5], db, min_overlap=2) == (10**18, 0)
+    path.write_text("A000001 ,1,\nA" + "9" * 20 + " ,4,5,\n")
+    with pytest.raises(OeisFormatError, match="line 2: A-number out of range"):
+        OeisDb.load(str(path))
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_load_names_malformed_line(tmp_path, gz):
+    rng = random.Random(f"malformed-{gz}")
+    lines = [f"A{a:06d} ," + "".join(f"{rng.randint(0, 99)}," for _ in range(30)) + ""
+             for a in rng.sample(range(1, 99_999), 50)]
+    lines.insert(0, "# header")
+    cases = {
+        "first": (1, "A00000x ,1,2,"),
+        "last": (len(lines) - 1, lines[-1][:-1] + "1x,"),
+        "past the index columns": (20, lines[20][:-1] + "1.5,"),
+        "no A-number": (7, "000007 ,1,2,"),
+        "no terms field": (9, "A000009"),
+        "comma in the A-number": (12, "A000,012 ,1,2,"),
+    }
+    for what, (at, bad) in cases.items():
+        broken = list(lines)
+        broken[at] = bad
+        path = _write_dump(tmp_path, "dump", broken, "\n", gz)
+        with pytest.raises(OeisFormatError) as ref:
+            reference_load(path)
+        with pytest.raises(OeisFormatError) as err:
+            OeisDb.load(str(path))
+        assert str(err.value) == str(ref.value), what
+        assert f"line {at + 1}:" in str(err.value), what
+    dup = list(lines)
+    dup[30] = lines[10].replace(",", ",7,", 1)   # the A-number of line 11 again
+    path = _write_dump(tmp_path, "dump", dup, "\n", gz)
+    with pytest.raises(OeisFormatError, match="line 31"):
+        OeisDb.load(str(path))
+    with pytest.raises(OeisFormatError, match="line 31"):
+        OeisDb.parse([line + "\n" for line in dup])
+
+
+def test_load_parses_terms_only_for_candidates(tmp_path, monkeypatch):
+    """``len`` and lookups run the line parser on no entry.  A miss reads no
+    entry; a hit reads only entries whose term at the pair's shift shares
+    the first query term's low bits."""
+    from permscan import sequences
+
+    tail = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+    lines = [f"A{a:06d} ," + ",".join(map(str, [a + 1000] * 20)) + ","
+             for a in range(10, 400)]
+    lines += [f"A000001 ,{7 + (1 << 32)}," + ",".join(map(str, tail)) + ",",
+              f"A000002 ,9,{7 + 2**64}," + ",".join(map(str, tail)) + ",",
+              "A000003 ,9,9,7," + ",".join(map(str, tail)) + ",",
+              "A000004 ,9,9,9,7," + ",".join(map(str, tail)) + ","]
+    path = _write_dump(tmp_path, "dump", lines, "\n", False)
+    parsed, read = [], []
+    parse_line = sequences._parse_line
+    monkeypatch.setattr(sequences, "_parse_line",
+                        lambda line, lineno: parsed.append(lineno) or parse_line(line, lineno))
+    matches_at = OeisDb._matches_at
+    monkeypatch.setattr(OeisDb, "_matches_at",
+                        lambda db, r, s, q, need: read.append((r, s)) or matches_at(db, r, s, q, need))
+    db = OeisDb.load(str(path))
+    assert len(db) == 394
+    assert oeis_match([8] + tail, db) is None and read == []
+    assert oeis_match([7, 8] + tail, db) is None and read == []   # no second term 8
+    assert oeis_match([7] + tail, db) == (3, 2)
+    assert read == [(0, 0), (1, 1), (2, 2)]   # A000001..3 share 7's low bits
+    read.clear()
+    assert oeis_match([1010] * 12, db) == (10, 0) and read == [(4, 0)]
+    assert parsed == []
+    assert [db._sorted[r].terms[s] & ((1 << _HASH_BITS) - 1) for r, s in [(0, 0), (1, 1), (2, 2)]] == [7] * 3
+
+
+@pytest.mark.parametrize("scan_bytes, index_entries", [(1, 1), (2, 3), (3, 2), (64, 5), (257, 1000)])
+def test_load_block_sizes(tmp_path, monkeypatch, scan_bytes, index_entries):
+    """Blocks of any size, odd or even, give the reference's entries and
+    index: pairs, lines and entries that straddle a block boundary count."""
+    from permscan import sequences
+
+    monkeypatch.setattr(sequences, "_SCAN_BYTES", scan_bytes)
+    monkeypatch.setattr(sequences, "_INDEX_ENTRIES", index_entries)
+    rng = random.Random(f"blocks-{scan_bytes}")
+    for i in range(3):
+        lines = _random_dump(rng, rng.randint(1, 40))
+        path = _write_dump(tmp_path, f"dump{i}", lines, rng.choice(["\n", "\r\n"]), False)
+        want = reference_load(path)
+        db = OeisDb.load(str(path))
+        assert db.entries == want
+        for max_shift in (0, 14):
+            stride, words = db._term_index(max_shift)
+            assert (stride, words.tobytes()) == \
+                (lambda s, w: (s, w.tobytes()))(*reference_index(want, max_shift))
