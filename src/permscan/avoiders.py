@@ -17,8 +17,11 @@ Three engines, all producing the avoiders of each length 1..n:
   (no sort, no search): a level of fewer than ``_VECTOR_MIN_LEVEL``
   avoiders is stepped on Python ints, larger ones in numpy.  No word layout
   bounds the numpy step, so n = 16 counts on the WIDE layout run vectorized
-  too.  It works through its level in fixed blocks of parents; a count only
-  tallies the maps of its last level (length n-1) and never holds them.
+  too.  It works through its level in blocks of ``_BLOCK`` = 2^13 parents:
+  larger blocks make each temporary big enough that the allocator maps it
+  afresh (or trims it when freed), so every block page-faults its working
+  set in again.  A count only tallies the maps of its last level (length
+  n-1) and never holds them.
   ``avoider_rows`` lists on the same steps: a level's letters are one
   gather from its parents' rows plus the new maximum, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
@@ -479,13 +482,22 @@ def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray,
 # A step builds the children of _BLOCK consecutive parents at a time, so its
 # temporaries are a fixed working set whatever the level's size; only the
 # lookups into the two levels below (their maps and child offsets) span a
-# whole level.  Indices inside a block are intp, as numpy casts an int32
-# index array on every gather; the stored pointers stay int32.  A child's
-# insertion position, the j-th set bit of its parent's map, is read from
-# _POSITIONS.  The last level of a count is only tallied, block by block,
-# and never held; the last level of a listing keeps only rank 1.
+# whole level.  The block size is set by page faults, not by cache: a block
+# allocates about 25 child-sized temporaries per rank, and glibc serves
+# arrays above its mmap threshold (128 KiB to 32 MiB, adapting) with fresh
+# mappings, or trims them off the heap top when they are freed, so every
+# block faults its working set in again.  On 16 counts at n = 14-15 (2-core
+# machine, fresh processes), blocks of 2^15 parents (60-130k children) took
+# about 6.6k minor faults per count, 2^13 parents 1.9k and 12% less time;
+# 2^12 and 2^14 fell between, 2^11 (more numpy calls per child) was no
+# faster than 2^15 and 2^16 was slower.  Indices inside a block are intp,
+# as numpy casts an int32 index array on every gather; the stored pointers
+# stay int32.  A child's insertion position, the j-th set bit of its
+# parent's map, is read from _POSITIONS.  The last level of a count is only
+# tallied, block by block, and never held; the last level of a listing
+# keeps only rank 1 and is grown into its output in blocks of the same size.
 
-_BLOCK = 1 << 15
+_BLOCK = 1 << 13
 
 
 def _position_table() -> np.ndarray:

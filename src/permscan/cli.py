@@ -71,12 +71,13 @@ def _write_level(out: TextIO, m: int, letters: np.ndarray) -> None:
     """Write one level's avoiders as lines "m,<perm>", sorted by letters,
     with ``format_perm``'s text: letters concatenated up to length 9,
     separated by spaces beyond.  Each block of lines is one byte buffer
-    built in numpy, from which the NUL slots are dropped."""
-    letters = letters[np.lexsort(letters.T[::-1])]
+    built in numpy, from which the NUL slots are dropped; its rows are
+    gathered through the sort order, so no sorted copy of the level is made."""
+    order = np.lexsort(letters.T[::-1])
     head = np.frombuffer(f"{m},".encode(), np.uint8)
     width = head.size + 3 * m + 1
-    for start in range(0, len(letters), _LINE_BLOCK):
-        block = letters[start:start + _LINE_BLOCK]
+    for start in range(0, len(order), _LINE_BLOCK):
+        block = letters.take(order[start:start + _LINE_BLOCK], axis=0)
         lines = np.empty((len(block), width), np.uint8)
         lines[:, :head.size] = head
         lines[:, head.size:-1] = np.take(_TOKENS, block, axis=0).reshape(len(block), 3 * m)

@@ -408,6 +408,33 @@ def test_block_sizes_split_levels():
     assert any(size > 1000 and size % 1000 for size in levels[:-1])
 
 
+@pytest.mark.parametrize("text", ["132 231", "132 4321"])
+def test_block_size_does_not_change_wide_levels(monkeypatch, text):
+    """The same differential at n = 18 on WIDE, where maps reach 17 bits and
+    _children reads them as two 16-bit halves: levels of such maps span
+    several blocks of 1000 and of 4096 parents."""
+    import permscan.avoiders as av
+
+    real_step = av._pointer_step
+    steps = []
+    wide_parents = []
+
+    def recording_step(psi_b, level, k, ranks):
+        if level[0].size and level[0].max() >> 16:
+            wide_parents.append(level[0].size)
+        psi_b, new = real_step(psi_b, level, k, ranks)
+        steps.append(new)
+        return psi_b, new
+
+    monkeypatch.setattr(av, "_pointer_step", recording_step)
+    pat = PatternSet.parse(text, WIDE)
+    whole = _blocked_run(monkeypatch, pat, 18, 1 << 30, steps)
+    assert whole[0] == count_avoiders_fast(pat, 18, vectorized=False)
+    assert max(wide_parents) > 4096
+    for block in (1000, 4096):
+        assert _blocked_run(monkeypatch, pat, 18, block, steps) == whole, block
+
+
 def test_erdos_szekeres_dead_levels():
     counts = count_avoiders_fast(PatternSet.parse("123 321"), 8)
     assert counts == [1, 2, 4, 4, 0, 0, 0, 0]

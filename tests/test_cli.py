@@ -90,6 +90,25 @@ def test_listing_matrix_crosses_the_switch():
     assert max(count_avoiders_fast(PatternSet.parse("132 4321"), 11)) >= _VECTOR_MIN_LEVEL
 
 
+def test_listing_line_blocks_do_not_change_bytes(capsys, monkeypatch):
+    """Each level is written _LINE_BLOCK sorted rows at a time: blocks of 1,
+    3 and 1000 lines and one block per level print the same bytes.  231 at
+    n = 10 has 4,862 rows at m = 9 (digits concatenated) and 16,796 at
+    m = 10 (space-separated), so blocks of 1, 3 and 1000 end inside both."""
+    outs = []
+    for block in (1, 3, 1000, 1 << 30):
+        monkeypatch.setattr(cli, "_LINE_BLOCK", block)
+        for wide in ((), ("--wide",)):
+            code, out, err = run_cli(capsys, "avoid", "--patterns", "231", "--max-n", "10",
+                                     "--enumerate", *wide)
+            assert code == 0 and err == ""
+            outs.append(out)
+    # one count line and one line per avoider
+    assert outs[0].count("\n9,") == 4862 + 1 and outs[0].count("\n10,") == 16796 + 1
+    assert "\n10,10 9 8 7 6 5 4 3 2 1\n" in outs[0]
+    assert all(out == outs[0] for out in outs)
+
+
 def test_avoid_enumerate_lowmem_rejected(capsys):
     code, out, err = run_cli(capsys, "avoid", "--patterns", "231", "--max-n", "5",
                              "--enumerate", "--engine", "lowmem")
