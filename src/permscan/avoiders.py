@@ -10,24 +10,23 @@ Three engines, all producing the avoiders of each length 1..n:
   which children avoid, assembled by AND-ing shifted maps of its one-letter
   deletions.  Counting a level is a popcount; materializing children reads
   the positions of each map's set bits from a table.  O(k) work per
-  avoider.  Levels are built on packed words only until the membership
-  fix-up is done (length k-1, where a child's children may themselves be
-  patterns).  From there a level keeps no words, only maps, letter
-  positions and pointers to each avoider's deletions in the level below
-  (no sort, no search): a level of fewer than ``_VECTOR_MIN_LEVEL``
+  avoider.  A level keeps no words, only maps, letter positions and
+  pointers to each avoider's deletions in the level below (no sort, no
+  search), from the empty permutation on; the recurrence misses only
+  children that are themselves patterns, whose bits a walk per pattern
+  clears below length k.  A level of fewer than ``_VECTOR_MIN_LEVEL``
   avoiders is stepped on Python ints, larger ones in numpy.  No word layout
   bounds the numpy step, so n = 16 counts on the WIDE layout run vectorized
-  too.  It works through its level in blocks of ``_BLOCK`` = 2^13 parents:
-  larger blocks make each temporary big enough that the allocator maps it
-  afresh (or trims it when freed), so every block page-faults its working
-  set in again.  A count only tallies the maps of its last level (length
-  n-1) and never holds them.
+  too.  It works through its level in blocks of ``_BLOCK`` = 2^13 parents.
+  A count only tallies the maps of its last level (length n-1) and never
+  holds them.
   ``avoider_rows`` lists on the same steps: a level's letters are one
   gather from its parents' rows plus the new maximum, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
-* ``count_avoiders_lowmem`` - the same recurrence run as a depth-first
-  traversal of the inclusion tree, keeping extension maps only along one
-  root-to-leaf path (O(n^k) live maps instead of a whole level).
+* ``count_avoiders_lowmem`` - the same pointer steps run as a depth-first
+  traversal of the inclusion tree from length k-1, keeping extension maps
+  only along one root-to-leaf path (O(n^k) live maps instead of a whole
+  level).
 
 Hosts may be restricted to any downset via ``downset_filter``.
 """
@@ -37,8 +36,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -86,6 +85,9 @@ class PatternSet:
         pats = tuple(sorted(by_word.values(), key=lambda p: (p.length, p.word)))
         if not pats:
             raise ValueError("a pattern set needs at least one pattern")
+        if not pats[0].length:
+            raise ValueError("the empty permutation is not a pattern: "
+                             "every permutation contains it")
         if len({p.layout for p in pats}) != 1:
             raise ValueError("patterns mix word layouts")
         return cls(pats, max(p.length for p in pats), frozenset(by_word))
@@ -112,6 +114,11 @@ class PatternSet:
         return tuple(frozenset(upfix(p, i).word for p in self.patterns if p.length >= i)
                      for i in range(1, self.k + 1))
 
+    @cached_property
+    def _codes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_insertion_code(p.word, p.length, p.layout.bits)
+                     for p in self.patterns if p.length >= 2)
+
     def upfix_table(self, i: int) -> frozenset[int]:
         if 1 <= i <= self.k:
             return self._tables[i - 1]
@@ -128,6 +135,16 @@ class PatternSet:
 
     def __contains__(self, p: PackedPerm) -> bool:
         return p.word in self.words
+
+
+@lru_cache(maxsize=None)
+def _insertion_code(word: int, length: int, bits: int) -> tuple[int, ...]:
+    """(c_1, ..., c_j) of a pattern of length j: c_t is the position of
+    letter t among its letters 1..t, so inserting each new maximum t at c_t
+    builds the pattern from the empty permutation."""
+    letters = [(word >> (bits * i)) & ((1 << bits) - 1) for i in range(length)]
+    return tuple(1 + sum(v < t for v in letters[:letters.index(t)])
+                 for t in range(1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -254,69 +271,37 @@ def build_avoiders_basic(pat: PatternSet, n: int,
 # ---------------------------------------------------------------------------
 # extension-map engine (level-synchronous)
 
-def _seed_level(pat: PatternSet, layout: PermLayout):
-    psi = 0 if pack([1], layout) in pat.words else 1
-    return [0], [0], [psi]
-
-
-def _advance_level(m: int, words: list[int], invs: list[int], psis: list[int],
-                   pat: PatternSet, layout: PermLayout,
-                   psi_of: dict[int, int] | None = None):
-    """Build level m+1 (words, partial inverses, extension maps) from level m.
-
-    ``psi_of`` maps every length-m avoider the deletions may reach to its
-    extension map; it defaults to the given level.  Children come grouped by
-    parent in increasing insertion position.
+def _advance_level(m: int, words: list[int], psis: list[int], pat: PatternSet,
+                   layout: PermLayout) -> tuple[list[int], list[int]]:
+    """Level m+1 (words and extension maps) from level m on packed words:
+    the reference schedule (``vectorized=False``).  A child's map ANDs the
+    shifted maps of its deletions of the min(m+1, k) largest letters, found
+    by word, and drops the insertions that are patterns.  Children come
+    grouped by parent in increasing insertion position.  Each deletion
+    follows from the one before: to delete letter v instead of v+1, put v
+    where v+1 was and cut it out of its own place.
     """
-    k = pat.k
-    if psi_of is None:
-        psi_of = dict(zip(words, psis))
+    psi_of = dict(zip(words, psis))
     new_len = m + 1
-    full = (1 << (new_len + 1)) - 1
-    check_membership = new_len + 1 <= k
-    b, mask = layout.bits, layout.mask
-    c_words: list[int] = []
-    c_invs: list[int] = []
-    c_parents: list[int] = []
-    for w, iv, psi in zip(words, invs, psis):
-        bits = psi
-        while bits:
-            low = bits & -bits
-            i = low.bit_length()
-            bits ^= low
-            ci = iv
-            for v in range(max(1, new_len + 1 - k), new_len):
-                shift = b * (v - 1)
-                if (ci >> shift) & mask >= i:
-                    ci += 1 << shift
-            c_words.append(insert_pos(w, i, new_len, layout))
-            c_invs.append(ci | (i << (b * (new_len - 1))))
-            c_parents.append(w)
-    c_psis: list[int] = []
-    for cw, ci, parent in zip(c_words, c_invs, c_parents):
-        psi_c = full
-        d = parent
-        for r in range(1, min(new_len, k) + 1):
-            vdel = new_len - r + 1
-            q = (ci >> (b * (vdel - 1))) & mask
-            if r > 1:
-                pos_a = (ci >> (b * vdel)) & mask
-                d = insert_pos(d, pos_a, vdel, layout)
-                d = kill_pos(d, q, layout)
-            src = psi_of[d]
-            psi_c &= (src & ((1 << q) - 1)) | ((src >> (q - 1)) << q)
-            if not psi_c:
-                break
-        if check_membership and psi_c:
-            bits = psi_c
-            while bits:
-                low = bits & -bits
-                i = low.bit_length()
-                bits ^= low
-                if insert_pos(cw, i, new_len + 1, layout) in pat.words:
-                    psi_c ^= low
-        c_psis.append(psi_c)
-    return c_words, c_invs, c_psis
+    c_words, c_psis = [], []
+    for w, psi in zip(words, psis):
+        for i in range(1, new_len + 1):
+            if not (psi >> (i - 1)) & 1:
+                continue
+            cw = insert_pos(w, i, new_len, layout)
+            letters = unpack(cw, new_len, layout)
+            psi_c, d, q = (1 << (new_len + 1)) - 1, cw, 0
+            for v in range(new_len, max(new_len - pat.k, 0), -1):
+                moved, q = q, letters.index(v) + 1
+                d = kill_pos(insert_pos(d, moved, v, layout) if moved else d, q, layout)
+                src = psi_of[d]
+                psi_c &= (src & ((1 << q) - 1)) | ((src >> (q - 1)) << q)
+            for j in range(1, new_len + 2) if new_len < pat.k else ():
+                if insert_pos(cw, j, new_len + 1, layout) in pat.words:
+                    psi_c &= ~(1 << (j - 1))
+            c_words.append(cw)
+            c_psis.append(psi_c)
+    return c_words, c_psis
 
 
 # A level holding fewer avoiders than this is stepped by _python_step: below
@@ -338,7 +323,8 @@ def count_avoiders_fast(pat: PatternSet, n: int,
     of level n-1's maps, which the last step tallies without holding them.
 
     ``_levels`` gives the schedule.  ``vectorized=True`` runs numpy from the
-    first pointer level, ``False`` stays on words to the end; counts agree.
+    first level that carries all k-1 pointer ranks, ``False`` runs the
+    packed-word reference to the end; counts agree.
     """
     _check_n(n, pat.layout)
     counts = [0] * n
@@ -402,55 +388,94 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
             rows: bool = False):
     """The level schedule that counting and listing share.
 
-    Levels are built on words (``_advance_level``) through length
-    max(k-1, 1), where the membership fix-up ends, then turned into pointer
-    form once (``_pointer_level``).  Each later level is built by
-    ``_python_step`` while the level it steps from holds fewer than
-    ``_VECTOR_MIN_LEVEL`` avoiders, and by ``_pointer_step`` in numpy from the
-    first one that holds more (it does not switch back).
+    Every level is in pointer form from the empty permutation (length 0) on.
+    It is built by ``_python_step`` while the level it steps from holds fewer
+    than ``_VECTOR_MIN_LEVEL`` avoiders, and by ``_pointer_step`` in numpy
+    from the first one that holds more and carries all k-1 pointer ranks
+    (length k-1 or more; it does not switch back).  The recurrence misses
+    only children that are themselves patterns; ``_walk`` clears their bits
+    in the levels below length k.  ``vectorized=False`` is the reference:
+    packed words (``_advance_level``) at every level.
 
     Yields, for m = 0, 1, ..., ``(tally, maps, letters)``: the extension
     maps of the avoiders of length m (a list of ints before the numpy step,
     a uint32 array after), ``tally`` = |S_{m+1}| (their popcount total), and
     with ``rows`` the (|S_m|, m) uint8 letters of the level, else None.
     Stops after level n-1 or after a level with no children.  Without
-    ``rows`` the last step only tallies its level, so that level's maps come
-    as None; with ``rows`` it keeps the pointer rank that ``_grow_rows`` reads.
+    ``rows`` the last step only tallies its level (once it has no pattern
+    bit to clear), so that level's maps come as None; with ``rows`` it keeps
+    the pointer rank that ``_grow_rows`` reads.
     """
     layout, k = pat.layout, pat.k
-    words, invs, psis = _seed_level(pat, layout)
-    below = None
-    for m in range(0, n):
-        tally = sum(psi.bit_count() for psi in psis)
-        letters = _unpack_rows(words, m, layout) if rows else None
-        yield tally, psis, letters
-        if m + 1 == n or tally == 0:
-            return
-        if vectorized is not False and below is not None and m + 2 > k:
-            break
-        below = words, psis
-        words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
-    psi_b, level = below[1], (psis, _pointer_level(below[0], words, invs, m, k, layout))
+    maps_b, level, walks = _seed(pat)
+    if vectorized is False:
+        words, psis = [0], level[0]
+        for m in range(n):
+            tally = sum(psi.bit_count() for psi in psis)
+            yield tally, psis, _unpack_rows(words, m, layout) if rows else None
+            if m + 1 == n or tally == 0:
+                return
+            words, psis = _advance_level(m, words, psis, pat, layout)
+        return
+    letters = np.zeros((1, 0), np.uint8) if rows else None
     numpy_step = False
-    for m in range(m + 1, n):
-        ranks = k - 1 if m + 1 < n else 1 if rows else 0
-        if not numpy_step and n < 32 and (vectorized or len(level[0]) >= _VECTOR_MIN_LEVEL):
-            numpy_step = True
-            psi_b, level = np.array(psi_b, np.uint32), _as_arrays(level, k)
-        psi_b, level = (_pointer_step if numpy_step else _python_step)(psi_b, level, k, ranks)
-        if not ranks:
-            yield level, None, None
-            return
+    for m in range(n):
         maps = level[0]
-        if rows:
-            # the largest letter sits at the insertion position; D_1 is the parent
-            _, pos, dele = level if numpy_step else _as_arrays(level, k)
-            letters = _grow_rows(letters, pos[0], dele[0])
         tally = (int(np.bitwise_count(maps).sum(dtype=np.int64)) if numpy_step
                  else sum(map(int.bit_count, maps)))
         yield tally, maps, letters
-        if tally == 0:
+        if m + 1 == n or tally == 0:
             return
+        ranks = k - 1 if m + 2 < n or m + 1 < k else 1 if rows else 0
+        if (not numpy_step and m >= k - 1 and n < 32
+                and (vectorized or len(maps) >= _VECTOR_MIN_LEVEL)):
+            numpy_step = True
+            maps_b, level = np.array(maps_b, np.uint32), _as_arrays(level, k)
+        maps_b, level = (_pointer_step if numpy_step else _python_step)(maps_b, level, k, ranks)
+        if not ranks:
+            yield level, None, None
+            return
+        if walks:
+            walks = _walk(walks, maps_b, level[0], m + 1)
+        if rows:
+            # the largest letter sits at the insertion position; D_1 is the parent
+            if numpy_step:
+                ins, parent = level[1][0], level[2][0]
+            else:
+                ins, parent = np.array([link[0] for link in level[1]], np.intp).reshape(-1, 2).T
+            letters = _grow_rows(letters, ins, parent)
+
+
+def _seed(pat: PatternSet):
+    """Level 0 in pointer form, below it no level, and a walk per pattern
+    of length 2 or more: the empty permutation's one child avoids unless the
+    pattern 1 is in the set."""
+    psi = 0 if pack([1], pat.layout) in pat.words else 1
+    return [], ([psi], [[]]), [(code, 0) for code in pat._codes]
+
+
+def _walk(walks, maps_b: list[int], maps: list[int], t: int):
+    """Clear the bits of the patterns of length t+1 in level t, just built
+    from level t-1 (`maps_b`), and return the walks still open.
+
+    A walk (code, g) follows one pattern up the levels: g indexes, in level
+    t-1, the pattern's letters 1..t-1 (standardized), so its letters 1..t
+    are child off[g] + popcount(maps_b[g] below bit c_t) of level t.  A
+    pattern of length j is then bit c_j of the map of its letters 1..j-1.  A
+    walk that meets a clear bit holds a shorter pattern and ends there.
+    """
+    off = list(accumulate(map(int.bit_count, maps_b), initial=0))
+    still = []
+    for code, g in walks:
+        src, bit = maps_b[g], 1 << (code[t - 1] - 1)
+        if not src & bit:
+            continue
+        g = off[g] + (src & (bit - 1)).bit_count()
+        if len(code) == t + 1:
+            maps[g] &= ~(1 << (code[t] - 1))
+        else:
+            still.append((code, g))
+    return still
 
 
 def _unpack_rows(words: list[int], m: int, layout: PermLayout) -> np.ndarray:
@@ -539,27 +564,6 @@ def _children(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return par, _POSITIONS.take(idx)
 
 
-def _pointer_level(below_words: list[int], words: list[int], invs: list[int],
-                   m: int, k: int, layout: PermLayout) -> list[list[tuple[int, int]]]:
-    """The links of level m for ``_python_step``, from its words and partial
-    inverses (``_advance_level``): for r = 1..k-1, where each avoider's r-th
-    largest letter sits and the index in level m-1 (`below_words`) of the
-    avoider that deleting it leaves.  D_r follows from D_{r-1} in O(1) word
-    operations: the letter m-r+1 moves to where m-r+2 was."""
-    index = {w: j for j, w in enumerate(below_words)}
-    b, mask = layout.bits, layout.mask
-    links = []
-    for w, iv in zip(words, invs):
-        d = q = 0
-        link = []
-        for v in range(m, m - k + 1, -1):
-            moved, q = q, (iv >> (b * (v - 1))) & mask
-            d = kill_pos(insert_pos(d, moved, v, layout) if moved else w, q, layout)
-            link.append((q, index[d]))
-        links.append(link)
-    return links
-
-
 def _shifted(src: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Maps of deletions, re-indexed by insertion position in the host: the
     positions just before and just after the deleted letter (q) share a bit."""
@@ -621,21 +625,24 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
     return psi, (out, new_pos, new_del) if ranks else tally
 
 
-def _python_step(psi_b: list[int], level, k: int, ranks: int):
+def _python_step(psi_b: list[int], level, k: int, ranks: int,
+                 parents: Iterable[int] | None = None):
     """``_pointer_step`` on Python ints, one child at a time, for levels too
     small to pay for numpy's fixed cost per call: the same recurrence and
-    the same check before each pointer is followed.  A level is (maps,
-    links), links[c] the (position, index in the level below) pairs of
-    avoider c's ranks 1..k-1; `ranks` = 0 only tallies the new level."""
+    the same check before each pointer is followed.  A level of length m is
+    (maps, links), links[c] the (position, index in the level below) pairs
+    of avoider c's ranks 1..min(m, k-1); `ranks` = 0 only tallies the new
+    level.  With `parents` only those avoiders (increasing indices) step."""
     psi, links = level
     off_b = list(accumulate((src.bit_count() for src in psi_b), initial=0))
     out, new_links, tally = [], [], 0
-    for p, (parent, link) in enumerate(zip(psi, links)):
+    for p in range(len(psi)) if parents is None else parents:
+        parent = psi[p]
         if not parent:
             continue
-        # per rank r = 2..k: the deleted letter's position in p, and the map
-        # and first child index of g = D_{r-1}(p)
-        deps = [(qp, psi_b[g], off_b[g]) for qp, g in link]
+        # per rank r = 2..min(m+1, k): the deleted letter's position in p,
+        # and the map and first child index of g = D_{r-1}(p)
+        deps = [(qp, psi_b[g], off_b[g]) for qp, g in links[p]]
         bits = parent
         while bits:
             low = bits & -bits
@@ -652,12 +659,13 @@ def _python_step(psi_b: list[int], level, k: int, ranks: int):
                 s = psi[idx]
                 child &= (s & ((1 << q) - 1)) | ((s >> (q - 1)) << q)
                 new.append((q, idx))
-            if ranks:
-                new.pop()  # D_k is read only for the map
-                out.append(child)
-                new_links.append(new)
-            else:
+            if not ranks:
                 tally += child.bit_count()
+                continue
+            if len(new) == k:
+                new.pop()  # D_k is read only for the map
+            out.append(child)
+            new_links.append(new)
     return psi, (out, new_links) if ranks else tally
 
 
@@ -676,74 +684,55 @@ def count_avoiders_lowmem(pat: PatternSet, n: int,
                           stats: dict | None = None) -> list[int]:
     """Same counts as ``count_avoiders_fast`` in O(n^k) space.
 
-    Avoiders are grouped by the pattern of their smallest letters; the group
-    of maps for a tree node is built from its parent's group and discarded
-    on backtrack, so only one root-to-leaf path of groups is ever live.
-    ``stats``, if given, receives ``max_live_extension_maps``.
+    Levels 0..k-1 are the pointer schedule's.  From there the avoiders are
+    visited depth first over the inclusion tree: a batch is the avoiders of
+    one length m whose smallest m-k+1 letters form one tree node, and it
+    splits into groups by where its letter m-k+2, the (k-1)-th largest, sits
+    among the letters below it (read off the stored pointer positions).
+    Each group steps alone (``_python_step`` over its parents, the level
+    below zeroed outside the batch's own group, so every pointer lands in
+    the batch) and is dropped on backtrack; the deepest step only tallies.
+    ``stats``, if given, receives ``max_live_extension_maps``: the most maps
+    held at once by level k-1 and the groups' children on the current path
+    (the zeroed copies of each batch's level below are not counted).
     """
-    layout = pat.layout
-    _check_n(n, layout)
+    _check_n(n, pat.layout)
     k = pat.k
-    if n < k:
-        counts = count_avoiders_fast(pat, n, vectorized=False)
-        if stats is not None:
-            stats["max_live_extension_maps"] = sum(counts)
-        return counts
-
     counts = [0] * n
-    words, invs, psis = _seed_level(pat, layout)
-    for m in range(0, k - 1):
-        counts[m] = sum(psi.bit_count() for psi in psis)
-        words, invs, psis = _advance_level(m, words, invs, psis, pat, layout)
-    # `words` is now S_{k-1}(Pi), the group of the single tree node of size
-    # zero; its popcounts tally |S_k|.
-    counts[k - 1] = sum(psi.bit_count() for psi in psis)
+    maps_b, level, walks = _seed(pat)
+    for m in range(min(k, n)):
+        counts[m] = sum(map(int.bit_count, level[0]))
+        if m + 1 == min(k, n) or not counts[m]:
+            break
+        maps_b, level = _python_step(maps_b, level, k, 1)
+        walks = _walk(walks, maps_b, level[0], m + 1)
+    live = peak = len(level[0])
 
-    state = {"live": len(words), "peak": len(words)}
-    b, mask = layout.bits, layout.mask
+    def visit(maps_b, level, m):
+        nonlocal live, peak
+        maps, links = level
+        keys = [link[-1][0] - sum(q < link[-1][0] for q, _ in link[:-1]) for link in links]
+        order = sorted(range(len(maps)), key=keys.__getitem__)
+        ranks = 0 if m + 2 == n else 1
+        for _, group in groupby(order, keys.__getitem__):
+            group = list(group)
+            _, child = _python_step(maps_b, level, k, ranks, group)
+            if not ranks:
+                counts[m + 1] += child
+                continue
+            counts[m + 1] += sum(map(int.bit_count, child[0]))
+            own = [0] * len(maps)
+            for p in group:
+                own[p] = maps[p]
+            live += len(child[0])
+            peak = max(peak, live)
+            visit(own, child, m + 1)
+            live -= len(child[0])
 
-    def build_group(group_words, group_invs, group_psis, psi_of, child_len):
-        """Extend a group one letter: children words/inverses/maps, plus the
-        popcount total that tallies level child_len + 1."""
-        c_words, c_invs, c_psis = _advance_level(
-            child_len - 1, group_words, group_invs, group_psis, pat, layout, psi_of)
-        state["live"] += len(c_words)
-        state["peak"] = max(state["peak"], state["live"])
-        return c_words, c_invs, c_psis, sum(psi.bit_count() for psi in c_psis)
-
-    def visit(v_len, batch_words, batch_invs, batch_psis):
-        # batch: the avoiders of length v_len + k - 1 whose smallest v_len
-        # letters form the current tree node
-        if v_len == n - k:
-            return
-        member_len = v_len + k - 1
-        psi_of = dict(zip(batch_words, batch_psis))
-        groups: dict[int, list[int]] = {}
-        for t, iv in enumerate(batch_invs):
-            pos = (iv >> (b * v_len)) & mask
-            shift_down = 0
-            for vv in range(v_len + 2, member_len + 1):
-                if (iv >> (b * (vv - 1))) & mask < pos:
-                    shift_down += 1
-            groups.setdefault(pos - shift_down, []).append(t)
-        for key in sorted(groups):
-            sel = groups[key]
-            gw = [batch_words[t] for t in sel]
-            gi = [batch_invs[t] for t in sel]
-            gp = [batch_psis[t] for t in sel]
-            cw, ci, cp, total = build_group(gw, gi, gp, psi_of, member_len + 1)
-            counts[member_len + 1] += total
-            visit(v_len + 1, cw, ci, cp)
-            state["live"] -= len(cw)
-
-    if n - k >= 1 and words:
-        psi_of_root = dict(zip(words, psis))
-        cw, ci, cp, total = build_group(words, invs, psis, psi_of_root, k)
-        counts[k] += total
-        visit(1, cw, ci, cp)
-        state["live"] -= len(cw)
+    if n > k and counts[k - 1]:
+        visit(maps_b, level, k - 1)
     if stats is not None:
-        stats["max_live_extension_maps"] = state["peak"]
+        stats["max_live_extension_maps"] = peak
     return counts
 
 

@@ -794,3 +794,184 @@ def test_listing_last_level_in_blocks(monkeypatch, text, n):
             monkeypatch.setattr(av, "_BLOCK", block)
             assert [letters.tobytes() for letters, _ in av.avoider_rows(pat, n)] == whole, \
                 (layout, block)
+
+
+# The empty permutation is contained once in every permutation, so a set
+# holding it has no avoiders; it is refused as a pattern wherever a pattern
+# set is built.
+
+def test_empty_pattern_rejected():
+    from permscan.cli import main
+    from permscan.counting import count_single_fast
+    from permscan.permcore import PackedPerm
+    from permscan.sequences import avoidance_record
+
+    for layout in (NIBBLE, WIDE):
+        empty = PackedPerm.empty(layout)
+        for pats in ([empty], [parse_perm("12", layout), empty]):
+            with pytest.raises(ValueError, match="empty permutation"):
+                PatternSet.build(pats)
+        with pytest.raises(ValueError, match="empty permutation"):
+            count_single_fast(empty, 5)
+        with pytest.raises(ValueError, match="empty permutation"):
+            avoidance_record([empty], 5)
+        with pytest.raises(ValueError, match="empty permutation"):
+            PatternSet.parse("12 []", layout)
+    assert main(["avoid", "--patterns", "[]", "--max-n", "4"]) == 1
+
+
+# Pointer levels from length 0: the membership fix-up below length k is one
+# walk per pattern (_walk).  The default schedule and numpy from the earliest
+# level must list and count what the packed-word reference does, for sets
+# whose walks meet a bit already cleared by a shorter pattern, sets with
+# patterns of length 1 or 2, and sets that die before length k.
+WALK_SETS = ("12 123", "132 1432", "21 321 4321", "1", "21", "1 12", "12 231",
+             "12 21 1324", "123 321 123456")
+
+
+def test_insertion_codes():
+    from permscan.avoiders import _insertion_code
+
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse("1 21 231 1432", layout)
+        assert pat._codes == ((1, 1), (1, 1, 2), (1, 2, 2, 2))
+    assert _insertion_code(parse_perm("3142").word, 4, 4) == (1, 2, 1, 3)
+
+
+def _walks_met_clear_bits(monkeypatch, pat, n):
+    """How many walks of a count meet a bit already clear: a shorter
+    pattern lies among the letters they have walked."""
+    import permscan.avoiders as av
+
+    real_walk, met = av._walk, []
+
+    def recording_walk(walks, maps_b, maps, t):
+        met.extend(code for code, g in walks if not (maps_b[g] >> (code[t - 1] - 1)) & 1)
+        return real_walk(walks, maps_b, maps, t)
+
+    monkeypatch.setattr(av, "_walk", recording_walk)
+    count_avoiders_fast(pat, n)
+    monkeypatch.undo()
+    return len(met)
+
+
+@pytest.mark.parametrize("text", WALK_SETS)
+def test_pointer_schedule_matches_words(text):
+    from permscan.avoiders import avoider_rows
+
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        for n in sorted({1, pat.k - 1, pat.k, pat.k + 1, 12} - {0}):
+            want = count_avoiders_fast(pat, n, vectorized=False)
+            assert count_avoiders_fast(pat, n) == want, (layout, n)
+            assert count_avoiders_fast(pat, n, vectorized=True) == want, (layout, n)
+            words = _schedule(pat, n, False)
+            assert _schedule(pat, n, None) == words, (layout, n)
+            assert _schedule(pat, n, True) == words, (layout, n)
+            rows = list(avoider_rows(pat, n))
+            assert [len(letters) for letters, _ in rows] == want, (layout, n)
+            for (tally, maps, letters), (got, got_maps) in zip(words[1:], rows):
+                assert got.tobytes() == letters and got_maps.tobytes() == maps
+            assert rows[-1][0].tobytes() == _reference_last_rows(pat, n), (layout, n)
+
+
+def _reference_last_rows(pat, n):
+    """The length-n rows of the word reference, in the engine's order: per
+    avoider of length n-1, the new maximum at each allowed position."""
+    import permscan.avoiders as av
+
+    *_, (_, maps, letters) = av._levels(pat, n, False, rows=True)
+    grown = [row[:i] + [n] + row[i:] for row, psi in zip(letters.tolist(), maps)
+             for i in range(n) if psi >> i & 1]
+    return np.array(grown, np.uint8).reshape(len(grown), n).tobytes()
+
+
+def test_walks_meet_cleared_bits(monkeypatch):
+    """The redundant sets above end walks on a bit a shorter pattern
+    cleared; sets without a pattern inside another end none."""
+    for text, met in (("12 123", 1), ("132 1432", 1), ("21 321 4321", 2),
+                      ("12 231", 0), ("132 4321", 0)):
+        assert _walks_met_clear_bits(monkeypatch, PatternSet.parse(text), 8) == met, text
+
+
+# count_avoiders_lowmem steps each group of a batch alone over pointer
+# levels.  Random S_3 and S_4 sets, some holding a pattern inside another,
+# on both layouts; n runs to 12 where the class stays small enough for
+# Python steps.
+
+def _lowmem_cases():
+    rng = random.Random(12)
+    pool = all_perms(3) + all_perms(4)
+    cases = []
+    for _ in range(24):
+        pats = rng.sample(pool, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            # a pattern and one of its one-letter extensions
+            p = rng.choice(all_perms(3))
+            pats += [p, insert_up(p, rng.randint(1, 4))]
+        cases.append(" ".join(str(p) for p in pats))
+    return cases
+
+
+@pytest.mark.parametrize("text", _lowmem_cases())
+def test_lowmem_matches_fast_random_sets(text):
+    for layout in (NIBBLE, WIDE):
+        pat = PatternSet.parse(text, layout)
+        counts = count_avoiders_fast(pat, 12)
+        top = max(n for n in range(1, 13) if sum(counts[:n - 1]) <= 30000)
+        for n in sorted({1, pat.k - 1, pat.k, pat.k + 1, top} - {0}):
+            stats = {}
+            assert count_avoiders_lowmem(pat, n, stats) == counts[:n], (layout, n)
+            assert stats["max_live_extension_maps"] >= 1
+
+
+def test_lowmem_random_sets_reach_deep_levels():
+    deep = [text for text in _lowmem_cases()
+            if sum(count_avoiders_fast(PatternSet.parse(text), 12)[:11]) <= 30000]
+    assert len(deep) >= 8
+
+
+def _corrupt_group_step(monkeypatch, corrupt):
+    """Run ``corrupt`` on the first new level that a group step of more
+    than one batch group builds with pointers kept."""
+    import permscan.avoiders as av
+
+    real_step, done = av._python_step, []
+
+    def corrupting_step(psi_b, level, k, ranks, parents=None):
+        psi_b, new = real_step(psi_b, level, k, ranks, parents)
+        if (not done and ranks and parents is not None
+                and len(parents) < len(level[0]) and any(new[0])):
+            corrupt(new, set(parents), len(level[0]))
+            done.append(1)
+        return psi_b, new
+
+    monkeypatch.setattr(av, "_python_step", corrupting_step)
+    return done
+
+
+@pytest.mark.parametrize("text", ["231", "1234", "132 4321"])
+def test_lowmem_corrupt_group_map_fails_loudly(monkeypatch, text):
+    def claim_all(new, group, batch):
+        c = next(c for c, psi in enumerate(new[0]) if psi)
+        new[0][c] = (1 << 20) - 1
+
+    done = _corrupt_group_step(monkeypatch, claim_all)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        count_avoiders_lowmem(PatternSet.parse(text), 10)
+    assert done
+
+
+@pytest.mark.parametrize("text", ["231", "1234", "132 4321"])
+def test_lowmem_pointer_outside_group_fails_loudly(monkeypatch, text):
+    """A pointer into the batch, but outside the group it was built from,
+    meets a zeroed map."""
+    def leave_group(new, group, batch):
+        c = next(c for c, psi in enumerate(new[0]) if psi)
+        q, _ = new[1][c][1]
+        new[1][c][1] = (q, next(p for p in range(batch) if p not in group))
+
+    done = _corrupt_group_step(monkeypatch, leave_group)
+    with pytest.raises(RuntimeError, match="deletion pointer"):
+        count_avoiders_lowmem(PatternSet.parse(text), 10)
+    assert done
