@@ -84,6 +84,7 @@ from .sequences import (
     enumerate_symmetry_classes,
     growth_degree,
     mine,
+    mine_rows,
     oeis_match,
     symmetry_group,
     write_report,

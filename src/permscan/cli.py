@@ -196,7 +196,7 @@ PROGRESS_INTERVAL_S = 10.0
 
 
 class _MineProgress:
-    """A ``sq.mine`` progress callback: one stderr line, at most every
+    """A ``sq.mine_rows`` progress callback: one stderr line, at most every
     PROGRESS_INTERVAL_S seconds, with the classes done, their rate and the
     time spent counting and in lookups.  ``finish`` reports the last class
     too, once the run has lasted that long; shorter runs print nothing."""
@@ -226,18 +226,18 @@ class _MineProgress:
 
 
 def cmd_mine(args) -> int:
-    sq.check_match_args(args.max_shift, args.min_overlap)   # before reading the dump
+    sq.check_mine_args(args.max_n, args.max_shift, args.min_overlap)   # before reading the dump
     db = sq.OeisDb.load(args.oeis) if args.oeis else None
     progress = _MineProgress()
-    rows = sq.mine(args.pattern_length, args.min_set_size, args.max_n, db,
-                   max_shift=args.max_shift, min_overlap=args.min_overlap,
-                   progress=progress)
-    progress.finish()
+    rows = sq.mine_rows(sq.enumerate_symmetry_classes(args.pattern_length, args.min_set_size),
+                        args.max_n, db, max_shift=args.max_shift,
+                        min_overlap=args.min_overlap, progress=progress)
     out = _open_out(args)
     try:
         sq.write_report(rows, out)
     finally:
         _close_out(out)
+    progress.finish()
     return 0
 
 

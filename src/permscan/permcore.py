@@ -51,7 +51,6 @@ class PermLayout:
 
 NIBBLE = PermLayout(bits=4, capacity=15)
 WIDE = PermLayout(bits=5, capacity=25)
-DEFAULT_LAYOUT = NIBBLE
 
 
 def layout_for(n: int) -> PermLayout:
@@ -68,11 +67,6 @@ def layout_for(n: int) -> PermLayout:
 
 def get_letter(word: int, i: int, layout: PermLayout = NIBBLE) -> int:
     return (word >> (layout.bits * (i - 1))) & layout.mask
-
-
-def set_letter(word: int, i: int, value: int, layout: PermLayout = NIBBLE) -> int:
-    shift = layout.bits * (i - 1)
-    return (word & ~(layout.mask << shift)) | (value << shift)
 
 
 def insert_pos(word: int, i: int, value: int, layout: PermLayout = NIBBLE) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -68,14 +68,7 @@ def symmetry_group() -> tuple[Callable[[PackedPerm], PackedPerm], ...]:
     return group
 
 
-_GROUP: tuple[Callable, ...] | None = None
-
-
-def _group() -> tuple[Callable, ...]:
-    global _GROUP
-    if _GROUP is None:
-        _GROUP = symmetry_group()
-    return _GROUP
+_group = cache(symmetry_group)
 
 
 @dataclass(frozen=True)
@@ -186,7 +179,8 @@ def enumerate_symmetry_classes(k: int, min_size: int,
                                ) -> Iterator[tuple[PackedPerm, ...]]:
     """Canonical representatives, each sorted ascending by one-line letters,
     in a fixed deterministic order (full set S_k excluded by default, as in
-    ``count_symmetry_classes``)."""
+    ``count_symmetry_classes``).  Classes are decoded as they are consumed;
+    a k that cannot be swept raises here, before the first one."""
     perms, chunks = _canonical_masks(k, min_size, include_full)
     # bit j is the j-th pattern in descending letter order, so a mask's bits
     # read from the top down are its members sorted ascending; each byte of
@@ -194,11 +188,10 @@ def enumerate_symmetry_classes(k: int, min_size: int,
     lo, mid, hi = ([tuple(perms[j] for j in range(8 * t + 7, 8 * t - 1, -1)
                           if (byte >> (j - 8 * t)) & 1 and j < len(perms))
                     for byte in range(256)] for t in range(3))
-    for masks in chunks:
-        for a, b, c in zip((masks >> np.uint32(16)).tolist(),
-                           ((masks >> np.uint32(8)) & np.uint32(255)).tolist(),
-                           (masks & np.uint32(255)).tolist()):
-            yield hi[a] + mid[b] + lo[c]
+    return (hi[a] + mid[b] + lo[c] for masks in chunks
+            for a, b, c in zip((masks >> np.uint32(16)).tolist(),
+                               ((masks >> np.uint32(8)) & np.uint32(255)).tolist(),
+                               (masks & np.uint32(255)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +213,22 @@ class SequenceRecord:
 def avoidance_record(patterns: Iterable[PackedPerm], n_max: int,
                      counter: Callable[[PatternSet, int], list[int]] = count_avoiders_fast,
                      ) -> SequenceRecord:
+    check_mine_args(n_max)
     cls = canonicalize(patterns)
-    if n_max < FIRST_TERM_N:
-        raise ValueError(f"n_max must be at least {FIRST_TERM_N}")
+    _, terms = _class_terms(cls.patterns, n_max, counter)
+    return SequenceRecord(cls, terms, n_max)
+
+
+def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
+                 counter: Callable[[PatternSet, int], list[int]] = count_avoiders_fast,
+                 ) -> tuple[tuple[PackedPerm, ...], tuple[int, ...]]:
+    """A class with its terms |S_5|..|S_n_max|, counted on the patterns
+    rebuilt in ``layout_for(n_max)``.  Module-level, so that a process pool
+    can run it."""
     layout = layout_for(n_max)
     pat = PatternSet.build([PackedPerm.from_letters(p.letters(), layout)
-                            for p in cls.patterns])
-    counts = counter(pat, n_max)
-    return SequenceRecord(cls, tuple(counts[FIRST_TERM_N - 1:]), n_max)
+                            for p in patterns])
+    return patterns, tuple(counter(pat, n_max)[FIRST_TERM_N - 1:])
 
 
 def growth_degree(terms: Sequence[int], start_n: int = FIRST_TERM_N,
@@ -544,6 +545,15 @@ def check_match_args(max_shift: int, min_overlap: int) -> None:
         raise ValueError(f"max_shift must be at least 0, got {max_shift}")
 
 
+def check_mine_args(n_max: int, max_shift: int = 14, min_overlap: int = 8) -> None:
+    """Raise ValueError unless n_max is FIRST_TERM_N or more and fits the
+    wide layout, and the lookup arguments are valid."""
+    if n_max < FIRST_TERM_N:
+        raise ValueError(f"n_max must be at least {FIRST_TERM_N}")
+    layout_for(n_max)
+    check_match_args(max_shift, min_overlap)
+
+
 def _holders(words: np.ndarray, term: int) -> np.ndarray:
     """The ascending flat positions of the index words whose term has the
     low bits of ``term``: two binary searches."""
@@ -636,32 +646,42 @@ def mine_row(patterns: Sequence[PackedPerm], terms: Sequence[int],
     return MineRow(tuple(patterns), terms, degree, checked, filtered, anum, shift)
 
 
+def mine_rows(classes: Iterable[tuple[PackedPerm, ...]], n_max: int,
+              db: OeisDb | None, *, max_shift: int = 14, min_overlap: int = 8,
+              progress: Callable[[int, float, float], None] | None = None,
+              imap: Callable = map) -> Iterator[MineRow]:
+    """The report rows of a class stream, in its order.  ``imap(f, classes)``
+    counts each class through n_max (builtin ``map``, or a process pool's
+    ordered ``imap``: f pickles); ``mine_row`` runs in this process.
+    ``progress`` gets, after each class, the classes done and the seconds
+    spent so far waiting for counts and in ``mine_row``.  The arguments are
+    checked (``check_mine_args``) at the call, before anything is counted."""
+    check_mine_args(n_max, max_shift, min_overlap)
+    counted = imap(partial(_class_terms, n_max=n_max), classes)
+
+    def rows() -> Iterator[MineRow]:
+        counting = lookup = 0.0
+        t0 = time.perf_counter()
+        for done, (patterns, terms) in enumerate(counted, start=1):
+            t1 = time.perf_counter()
+            row = mine_row(patterns, terms, db, max_shift, min_overlap)
+            counting += t1 - t0
+            lookup += time.perf_counter() - t1
+            if progress is not None:
+                progress(done, counting, lookup)
+            yield row
+            t0 = time.perf_counter()
+
+    return rows()
+
+
 def mine(pattern_length: int, min_size: int, n_max: int, db: OeisDb | None,
          max_shift: int = 14, min_overlap: int = 8,
          progress: Callable[[int, float, float], None] | None = None) -> list[MineRow]:
-    """Sweep all symmetry classes of pattern sets in S_pattern_length with
-    at least min_size patterns: counts |S_5|..|S_n_max| per class, then
-    ``mine_row``.  ``progress`` gets, after each class, the number of
-    classes done and the seconds spent so far counting (``PatternSet.build``
-    and ``count_avoiders_fast``) and in ``mine_row`` (growth filter and
-    OEIS lookup)."""
-    check_match_args(max_shift, min_overlap)
-    layout = layout_for(n_max)
-    rows = []
-    counting = lookup = 0.0
-    for done, patterns in enumerate(enumerate_symmetry_classes(pattern_length, min_size)):
-        t0 = time.perf_counter()
-        pat = PatternSet.build([PackedPerm.from_letters(p.letters(), layout)
-                                for p in patterns])
-        counts = count_avoiders_fast(pat, n_max)
-        t1 = time.perf_counter()
-        rows.append(mine_row(patterns, counts[FIRST_TERM_N - 1:], db,
-                             max_shift, min_overlap))
-        counting += t1 - t0
-        lookup += time.perf_counter() - t1
-        if progress is not None:
-            progress(done + 1, counting, lookup)
-    return rows
+    """``mine_rows`` over all symmetry classes of pattern sets in
+    S_pattern_length with at least min_size patterns, as a list."""
+    return list(mine_rows(enumerate_symmetry_classes(pattern_length, min_size), n_max, db,
+                          max_shift=max_shift, min_overlap=min_overlap, progress=progress))
 
 
 REPORT_HEADER = "canonical_patterns,terms,degree,oeis_anum,shift"

@@ -273,6 +273,18 @@ def test_mine_final_line_splits_counting_and_lookup(capsys, monkeypatch, tmp_pat
     assert last is not None, lines[-1]
 
 
+
+def test_mine_rejects_max_n_below_first_term(capsys, tmp_path):
+    """Sequences start at n = 5: a shorter run is refused before anything is
+    counted or written, as ``avoidance_record`` refuses it."""
+    code, out, err = run_cli(capsys, "mine", "--pattern-length", "3", "--max-n", "4")
+    assert code == 1 and out == ""
+    assert err == "error: n_max must be at least 5\n"
+    out_path = tmp_path / "mine.csv"
+    code, _, err = run_cli(capsys, "mine", "--pattern-length", "3", "--max-n", "26",
+                           "--out", str(out_path))
+    assert code == 1 and "n=26" in err and not out_path.exists()
+
 def test_bench_format(capsys):
     code, out, _ = run_cli(capsys, "bench", "--algos", "fast,oracle",
                            "--patterns", "2431", "--max-n", "6")

@@ -378,6 +378,83 @@ def test_sweep_script_matches_library(tmp_path):
     assert outputs[0] == outputs[1] == expected.getvalue().encode()
 
 
+
+def test_mine_rejects_max_n_below_first_term():
+    with pytest.raises(ValueError, match="n_max must be at least 5"):
+        mine(3, 1, 4, None)
+
+
+def test_mine_rows_streams_its_classes():
+    """Rows come one class at a time: the first row is out before the class
+    stream is read any further, and argument errors come at the call."""
+    from permscan.permcore import PermCapacityError
+    from permscan.sequences import mine_rows
+
+    first = next(enumerate_symmetry_classes(3, 1))
+
+    def stream():
+        yield first
+        raise RuntimeError("stream read past its first class")
+
+    rows = mine_rows(stream(), 8, None)
+    assert next(rows) == mine(3, 1, 8, None)[0]
+    with pytest.raises(RuntimeError, match="past its first class"):
+        next(rows)
+    for n_max, error in ((4, ValueError), (26, PermCapacityError)):
+        with pytest.raises(error):
+            mine_rows(stream(), n_max, None)
+
+
+def _sweep_script():
+    return Path(__file__).resolve().parents[1] / "scripts" / "full_s4_sweep.py"
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--limit", "-1")])
+def test_sweep_script_refuses_bad_counts(tmp_path, flag, value):
+    """--jobs below 1 and a negative --limit are usage errors: nothing is
+    swept and no report is written."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run([sys.executable, str(_sweep_script()), "--max-n", "5",
+                           "--out", str(out), flag, value],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"error: {flag} must be at least" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_script_prints_mine_progress(capsys, monkeypatch, tmp_path, jobs):
+    """The sweep reports progress through ``permscan mine``'s callback, with
+    one counting process or two, and writes the rows of ``mine_rows``."""
+    import itertools
+    import runpy
+    import types
+
+    from permscan import cli
+    from permscan.sequences import mine_rows
+
+    # the clock of test_mine_final_line_splits_counting_and_lookup: one
+    # second later at every call, a line at most every 5 s
+    clock = itertools.count()
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 5.0)
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", ["full_s4_sweep.py", "--max-n", "7", "--limit", "12",
+                                      "--jobs", str(jobs), "--out", str(out)])
+    runpy.run_path(str(_sweep_script()), run_name="__main__")
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(" classes")[0] for ln in lines[:-1]] == \
+        ["mine: 5", "mine: 10", "mine: 12"]
+    assert lines[-2].startswith("mine: 12 classes in 13.0s (0.9 classes/s; counting ")
+    assert lines[-1].startswith("done: 12 classes in ") and "lookup" in lines[-1]
+    expected = io.StringIO()
+    write_report(mine_rows(islice(enumerate_symmetry_classes(4, 5), 12), 7, None), expected)
+    assert out.read_text() == expected.getvalue()
+
 def test_symmetry_classes_in_mask_order(s4_patterns):
     """Chunked enumeration: the first classes are the orbit-largest masks in
     ascending order, the full set goes only on request, and the S_4 count is
