@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_count)
     p_count.add_argument("--engine", choices=["auto", "standard", "single-fast", "lowmem"],
                          default="auto",
-                         help="auto runs standard (whole levels in memory) up "
+                         help="auto runs standard (levels below max-n in memory) up "
                               "to max-n 11 and lowmem above, for any number of "
                               "patterns; single-fast is the pure-Python "
                               "single-pattern reference")

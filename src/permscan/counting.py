@@ -13,7 +13,9 @@ Engines:
   their max-insertion history (a mixed-radix code), which makes each level a
   dense array; each deletion rewrites only the last digits of the code, so
   the profile step gathers the level below through a small table per
-  (length, rank) and whole levels run as vector operations.
+  (length, rank) and whole levels run as vector operations.  The last
+  level is only tallied, so it is built in cache-sized pieces and never
+  held: the largest array kept is level n-1.
 * ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
   traversal of the inclusion tree that keeps profile batches only along one
   root-to-leaf path; each batch takes the same table-gather step.
@@ -160,12 +162,16 @@ def _host_profile(p: PackedPerm, k: int, is_pattern: bool,
 # suffix).  The deletion's index in level m-1 is therefore
 # prefix * S' + T[suffix], where T is a table of m(m-1)...v entries and S'
 # counts the suffixes one level down, and a whole level gathers as
-# prev.reshape(-1, S').take(T, axis=1).
+# prev.reshape(-1, S').take(T, axis=1).  Any run of whole rows of the
+# largest table, hosts [a, b), gathers from the slice prev[a/m : b/m] alone
+# (the smaller tables' sizes divide the largest's), which is how the last
+# level is tallied piece by piece.
 #
 # Profiles are int32: P_i is at most the hit count, and a host of length
 # n <= 25 has at most 2^n <= 2^25 hits (one per subset of its letters).
 
-_DENSE_MAX_N = 11  # level arrays are m!-sized; beyond this use count_all_lowmem
+_DENSE_MAX_N = 11  # levels below n are held m!-sized; beyond this use count_all_lowmem
+_CHUNK_HOSTS = 1 << 16  # hosts per piece of a last level that is only tallied
 
 
 def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
@@ -233,21 +239,32 @@ def _profile_step(top: int, acc: np.ndarray | None, size: int,
 
 
 def _dense_levels(pat: PatternSet, n: int, through: frozenset[int] = frozenset(),
-                  keep_last: bool = False):
+                  keep_last: bool = False, align_k: int = 0):
     """Yield (m, P_arrays) for m = 1..n; P_arrays[i] is P_i over level m in
     insertion-code order, for i = 0..min(k, m).  Level n holds only P_0
-    (and the membership vector when n <= k) unless ``keep_last``."""
+    (and the membership vector when n <= k) unless ``keep_last``.  Above k
+    it is never held whole: it comes as consecutive pieces (n, [P_0]) of
+    about _CHUNK_HOSTS hosts, cut at whole rows of the rank-(j+1) deletion
+    table, j = min(align_k or k, n-1), so patterns up to length align_k cut
+    it alike; a piece's deletions are a contiguous slice of level n-1."""
     k = pat.k
     tables = _DeletionTables()
     prev = [np.zeros(1, dtype=np.int32)]
     for m in range(1, n + 1):
         base = _membership_vector(pat, m) if m <= k else None
-        cur = _profile_step(min(k, m - 1), base, factorial(m), through,
-                            lambda i: _gather(prev[i], tables[m, i + 1], m),
-                            keep=keep_last or m < n)
-        if base is not None:
-            cur.append(base)
-        yield m, cur
+        keep = keep_last or m < n
+        size = step = factorial(m)
+        if not keep and base is None:
+            rows = prod(range(m - min(align_k or k, m - 1), m + 1))
+            step = max(1, _CHUNK_HOSTS // rows) * rows
+        for a in range(0, size, step):
+            b = min(a + step, size)
+            cur = _profile_step(min(k, m - 1), base, b - a, through,
+                                lambda i: _gather(prev[i][a // m:b // m], tables[m, i + 1], m),
+                                keep=keep)
+            if base is not None:
+                cur.append(base)
+            yield m, cur
         prev = cur
 
 
@@ -274,7 +291,7 @@ def count_all(pat: PatternSet, n: int) -> CountTally:
     """Tally of hit counts over every permutation of lengths 1..n."""
     if n > _DENSE_MAX_N:
         raise ValueError(
-            f"count_all holds whole m! levels in memory; use count_all_lowmem for n={n}")
+            f"count_all holds whole m! levels below n; use count_all_lowmem for n={n}")
     _check_n(n, pat.layout)
     return _dense_tally(pat, n)
 

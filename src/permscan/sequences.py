@@ -223,10 +223,11 @@ def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
                  counter: Callable[[PatternSet, int], list[int]] = count_avoiders_fast,
                  ) -> tuple[tuple[PackedPerm, ...], tuple[int, ...]]:
     """A class with its terms |S_5|..|S_n_max|, counted on the patterns
-    rebuilt in ``layout_for(n_max)``.  Module-level, so that a process pool
-    can run it."""
+    in ``layout_for(n_max)`` (rebuilt only if on another layout).
+    Module-level, so that a process pool can run it."""
     layout = layout_for(n_max)
-    pat = PatternSet.build([PackedPerm.from_letters(p.letters(), layout)
+    pat = PatternSet.build([p if p.layout == layout
+                            else PackedPerm.from_letters(p.letters(), layout)
                             for p in patterns])
     return patterns, tuple(counter(pat, n_max)[FIRST_TERM_N - 1:])
 

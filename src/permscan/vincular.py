@@ -146,7 +146,7 @@ def covincular_count_all(cov: CovincularPattern, n: int,
                          stats: dict | None = None) -> CountTally:
     """Tally of covincular hit counts over every permutation of lengths
     1..n, by the dense profile step of ``counting`` with the pass-through
-    indices of ``cov`` (whole levels up to n = 11, depth-first batches
+    indices of ``cov`` (dense levels up to n = 11, depth-first batches
     above).  ``stats['profile_entries']`` is the number of P values
     the step computes: P_0..P_min(k, m) for every host of every length m."""
     layout = cov.pattern.layout
@@ -182,17 +182,19 @@ def covincular_count_set(patterns: Iterable[CovincularPattern], n: int) -> Count
 
     Covincular profiles do not combine across patterns the way classical
     ones do, so each pattern runs its own dense levels and the
-    per-permutation totals are summed before tallying (whole levels in
-    memory, so n is at most 11).
+    per-permutation totals are summed before tallying.  Levels below n are
+    held whole, so n is at most 11; every pattern cuts level n into pieces
+    at the rows of the longest pattern's deletion table, so they line up.
     """
     covs = list(patterns)
     if not covs:
         raise ValueError("no patterns given")
     _check_n(n, covs[0].pattern.layout)
     if n > _DENSE_MAX_N:
-        raise ValueError(f"covincular_count_set holds whole m! levels in memory; n={n}")
+        raise ValueError(f"covincular_count_set holds whole m! levels below n; n={n}")
     hist: dict[int, np.ndarray] = {}
-    per_pattern = [_dense_levels(PatternSet.build([c.pattern]), n, _through(c))
+    per_pattern = [_dense_levels(PatternSet.build([c.pattern]), n, _through(c),
+                                 align_k=max(c.k for c in covs))
                    for c in covs]
     for levels in zip(*per_pattern):
         _bincount_into(hist, levels[0][0], sum(cur[0] for _, cur in levels))
