@@ -18,7 +18,10 @@ Engines:
   held: the largest array kept is level n-1.
 * ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
   traversal of the inclusion tree that keeps profile batches only along one
-  root-to-leaf path; each batch takes the same table-gather step.
+  root-to-leaf path.  A node's consecutive children are stepped together,
+  in runs of at most _LOWMEM_RUN = 2^13 hosts (at least one child), each run
+  by the same table-gather step over a contiguous slice of the parent's
+  batch; so the live rows are the path's batches plus one run per level.
   ``vincular.covincular_count_all`` runs both with a pass-through set.
 * ``_profile_hosts`` - the one hash-table step for streamed hosts: it keeps
   the previous length's profiles in a dict keyed by word, and computes each
@@ -515,13 +518,21 @@ def count_single_fast(pattern: PackedPerm, n: int,
 # ---------------------------------------------------------------------------
 # low-memory engine: depth-first batches over the inclusion tree
 
+_LOWMEM_RUN = 1 << 13  # hosts per run of sibling batches stepped at once
+
 def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> CountTally:
     """Same tally as ``count_all`` holding O(n^{k+1}) profile rows.
 
     The k-level descendants of a tree node form one dense batch (indexed by
     the node-relative suffix of the insertion code); a node's batch is
-    computed from its parent's and freed on backtrack.  ``stats`` receives
-    ``max_live_profile_rows`` (a row is one host's k+1 profile values).
+    computed from its parent's and freed on backtrack.  Sibling batches are
+    consecutive in the index, so a node's children are computed together in
+    runs of at most _LOWMEM_RUN hosts (at least one child each), which
+    keeps per-call overhead off the small batches of short patterns.  The
+    live rows are level k plus one run per deeper level along the path, a
+    run being at most max(2^13, one child's batch) hosts; the deepest level
+    is only tallied.  ``stats`` receives ``max_live_profile_rows`` (a row is
+    one host's k+1 profile values).
     """
     _check_n(n, pat.layout)
     return _lowmem_tally(pat, n, frozenset(), stats)
@@ -542,34 +553,38 @@ def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
     tables = _DeletionTables()
     live = peak = base[0].size
 
-    def visit(m: int, p: int, parent: list[np.ndarray]) -> None:
-        # Batch of C^k(u) for u = v ^ p with |v| = m, from the batch of
-        # C^k(v).  Its hosts are level M = m+1+k of the dense index, below
-        # u's prefix.  Deleting one of the top k letters keeps u's digit p,
-        # so it lands in the parent's rows for p; deleting the (k+1)-st
-        # largest, u's own maximum, drops p and rewrites the digits above, so
-        # the p-block of its table is the parent index itself.
+    def visit(m: int, parent: list[np.ndarray]) -> None:
+        # parent is the batch of C^k(v), |v| = m: level m+k of the dense
+        # index below v's prefix.  The children u = v ^ p, p = 1..m+1, have
+        # batches C^k(u) of `size` hosts at level M = m+1+k, and child p is
+        # hosts [(p-1)*size, p*size) of the M!/m! below v, so a run of
+        # consecutive children is one range [a, b) stepped at once.
+        # Deleting one of the top k letters keeps each host's digit p, so it
+        # lands in the parent's rows [a/M, b/M); deleting the (k+1)-st
+        # largest, u's own maximum, drops p and rewrites the digits above,
+        # so the rank-(k+1) table indexes the parent itself.
         nonlocal live, peak
         M = m + 1 + k
         top = tables[M, k + 1]
         size = top.size // (m + 1)
-
-        def gather(i: int) -> np.ndarray:
-            if i == k:
-                return parent[k].take(top[(p - 1) * size:p * size])
-            return _gather(parent[i].reshape(m + 1, -1)[p - 1], tables[M, i + 1], M)
-
-        batch = _profile_step(k, None, size, through, gather)
-        _bincount_into(hist, M, batch[0])
-        live += size
-        peak = max(peak, live)
-        if M < n:
-            for p2 in range(1, m + 3):
-                visit(m + 1, p2, batch)
-        live -= size
+        step = max(1, _LOWMEM_RUN // size) * size
+        for a in range(0, top.size, step):
+            b = min(a + step, top.size)
+            run = _profile_step(
+                k, None, b - a, through,
+                lambda i: (parent[k].take(top[a:b]) if i == k else
+                           _gather(parent[i][a // M:b // M], tables[M, i + 1], M)),
+                keep=M < n)
+            _bincount_into(hist, M, run[0])
+            live += b - a
+            peak = max(peak, live)
+            if M < n:
+                for j in range(0, b - a, size):
+                    visit(m + 1, [x[j:j + size] for x in run])
+            live -= b - a
 
     if n > k:
-        visit(0, 1, base)
+        visit(0, base)
     if stats is not None:
         stats["max_live_profile_rows"] = peak
     return _histogram_tally(hist)

@@ -105,6 +105,9 @@ def canonicalize(patterns: "PatternSet | Iterable[PackedPerm]") -> SymmetryClass
 # symmetry-class enumeration over subsets of S_k (bit-mask sweep)
 
 def _mask_tables(k: int):
+    if k > 4:
+        raise ValueError("class sweeps enumerate all subsets of S_k; k > 4 "
+                         "is astronomically large")
     # bit j holds the j-th pattern in DESCENDING one-line order, so that the
     # integer-largest mask of an orbit decodes to the lexicographically
     # least sorted pattern tuple (the same representative canonicalize picks)
@@ -135,9 +138,6 @@ def _canonical_masks(k: int, min_size: int, include_full: bool,
     """The patterns of S_k by bit, and the canonical masks (each the largest
     of its orbit) of classes with at least min_size patterns, as ascending
     arrays, one per chunk of 2**20 masks, computed as they are consumed."""
-    if k > 4:
-        raise ValueError("class sweeps enumerate all subsets of S_k; k > 4 "
-                         "is astronomically large")
     perms, moves = _mask_tables(k)
     nbits = len(perms)
     tables = [_byte_tables(mv, nbits) for mv in moves]
@@ -169,9 +169,33 @@ def count_symmetry_classes(k: int, min_size: int, include_full: bool = False) ->
     The full set S_k is excluded by default: forbidding every pattern makes
     the avoidance sequence identically zero from n = k on, so the sweep has
     nothing to learn from it.
+
+    Counted by Burnside's lemma, enumerating no sets: a symmetry fixes
+    exactly the sets that are unions of its cycles on S_k, so its fixed
+    sets by size are the coefficients of the product of (1 + x^len) over
+    those cycles, and the classes of each size are their average over the
+    group.
     """
-    _, chunks = _canonical_masks(k, min_size, include_full)
-    return sum(masks.size for masks in chunks)
+    perms, moves = _mask_tables(k)
+    nbits = len(perms)
+    fixed = [0] * (nbits + 1)
+    for move in [range(nbits), *moves]:
+        poly = [1] + [0] * nbits
+        seen = [False] * nbits
+        for start in range(nbits):
+            length, j = 0, start
+            while not seen[j]:
+                seen[j] = True
+                j = move[j]
+                length += 1
+            if length:
+                for d in range(nbits, length - 1, -1):
+                    poly[d] += poly[d - length]
+        fixed = [f + c for f, c in zip(fixed, poly)]
+    classes = sum(fixed[max(min_size, 0):]) // len(_group())
+    if not include_full and nbits >= min_size:
+        classes -= 1  # the full set is a class of its own
+    return classes
 
 
 def enumerate_symmetry_classes(k: int, min_size: int,

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import islice
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +518,25 @@ def test_pruned_masks_match_unpruned(k, min_size, include_full):
     assert pruned.dtype == want.dtype == np.uint32
     assert hashlib.sha256(pruned.tobytes()).hexdigest() == \
         hashlib.sha256(want.tobytes()).hexdigest()
+
+
+def _enumerated_class_count(k, min_size, include_full):
+    from permscan.sequences import _canonical_masks
+
+    return sum(masks.size for masks in _canonical_masks(k, min_size, include_full)[1])
+
+
+@pytest.mark.parametrize("include_full", [False, True])
+def test_burnside_count_matches_enumeration(include_full):
+    """count_symmetry_classes counts by Burnside's lemma; the mask sweep
+    enumerates the canonical masks it counts."""
+    for k in (1, 2, 3):
+        for min_size in range(factorial(k) + 2):
+            assert count_symmetry_classes(k, min_size, include_full) == \
+                _enumerated_class_count(k, min_size, include_full), (k, min_size)
+    for min_size in (0, 5, 12, 23, 24, 25):
+        assert count_symmetry_classes(4, min_size, include_full) == \
+            _enumerated_class_count(4, min_size, include_full), min_size
 
 
 # ---------------------------------------------------------------------------
