@@ -18,30 +18,13 @@ from itertools import permutations
 
 from permscan.avoiders import PatternSet, count_avoiders_fast
 from permscan.counting import count_single_fast
-from permscan.oracle import SubseqCounter, oracle_contains, oracle_count_hits
+from permscan.oracle import (
+    SubseqCounter,
+    oracle_avoider_levels,
+    oracle_contains,
+    oracle_hit_histogram,
+)
 from permscan.permcore import PackedPerm, layout_for
-
-
-def avoiders_by_oracle(pat, n):
-    counter = SubseqCounter()
-    counts = []
-    for m in range(1, n + 1):
-        cnt = 0
-        for tup in permutations(range(1, m + 1)):
-            if not oracle_contains(PackedPerm.from_letters(tup, pat.layout), pat,
-                                   counter=counter):
-                cnt += 1
-        counts.append(cnt)
-    return counts, counter.examined
-
-
-def hits_by_oracle(pat, n):
-    counter = SubseqCounter()
-    for m in range(1, n + 1):
-        for tup in permutations(range(1, m + 1)):
-            oracle_count_hits(PackedPerm.from_letters(tup, pat.layout), pat,
-                              counter=counter)
-    return counter.examined
 
 
 def contains_231_family(k):
@@ -77,11 +60,11 @@ def main():
             el = time.perf_counter() - t0
             out.write(f"avoid,fast,{text},{n},{el:.4f},{sum(counts)}\n")
         n = min(args.max_n, 9)
-        pat = PatternSet.parse(text)
+        counter = SubseqCounter()
         t0 = time.perf_counter()
-        _, examined = avoiders_by_oracle(pat, n)
+        oracle_avoider_levels(PatternSet.parse(text), n, counter)
         el = time.perf_counter() - t0
-        out.write(f"avoid,oracle,{text},{n},{el:.4f},{examined}\n")
+        out.write(f"avoid,oracle,{text},{n},{el:.4f},{counter.examined}\n")
         out.flush()
 
     for text in singles:
@@ -94,10 +77,11 @@ def main():
             out.write(f"count,single-fast,{text},{n},{el:.4f},"
                       f"{stats['profile_entries']}\n")
         n = min(args.count_max_n, 8)
+        counter = SubseqCounter()
         t0 = time.perf_counter()
-        examined = hits_by_oracle(PatternSet.parse(text), n)
+        oracle_hit_histogram(PatternSet.parse(text), n, counter)
         el = time.perf_counter() - t0
-        out.write(f"count,oracle,{text},{n},{el:.4f},{examined}\n")
+        out.write(f"count,oracle,{text},{n},{el:.4f},{counter.examined}\n")
         out.flush()
 
     for k in (4, 5, 6):

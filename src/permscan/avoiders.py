@@ -689,9 +689,13 @@ def count_avoiders_lowmem(pat: PatternSet, n: int,
     one length m whose smallest m-k+1 letters form one tree node, and it
     splits into groups by where its letter m-k+2, the (k-1)-th largest, sits
     among the letters below it (read off the stored pointer positions).
-    Each group steps alone (``_python_step`` over its parents, the level
-    below zeroed outside the batch's own group, so every pointer lands in
-    the batch) and is dropped on backtrack; the deepest step only tallies.
+    A level is ordered by insertion code (by parent, then by insertion
+    position) and that position is the batch's leading free digit, so each
+    group is one run of consecutive avoiders.  Each group steps alone
+    (``_python_step`` over its range, the level below zeroed outside the
+    batch's own group, so every pointer lands in the batch, and one that
+    does not raises) and is dropped on backtrack; the deepest step only
+    tallies.
     ``stats``, if given, receives ``max_live_extension_maps``: the most maps
     held at once by level k-1 and the groups' children on the current path
     (the zeroed copies of each batch's level below are not counted).
@@ -712,18 +716,15 @@ def count_avoiders_lowmem(pat: PatternSet, n: int,
         nonlocal live, peak
         maps, links = level
         keys = [link[-1][0] - sum(q < link[-1][0] for q, _ in link[:-1]) for link in links]
-        order = sorted(range(len(maps)), key=keys.__getitem__)
+        ends = list(accumulate((len(list(run)) for _, run in groupby(keys)), initial=0))
         ranks = 0 if m + 2 == n else 1
-        for _, group in groupby(order, keys.__getitem__):
-            group = list(group)
-            _, child = _python_step(maps_b, level, k, ranks, group)
+        for a, b in zip(ends, ends[1:]):
+            _, child = _python_step(maps_b, level, k, ranks, range(a, b))
             if not ranks:
                 counts[m + 1] += child
                 continue
             counts[m + 1] += sum(map(int.bit_count, child[0]))
-            own = [0] * len(maps)
-            for p in group:
-                own[p] = maps[p]
+            own = [0] * a + maps[a:b] + [0] * (len(maps) - b)
             live += len(child[0])
             peak = max(peak, live)
             visit(own, child, m + 1)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import TextIO
+from contextlib import nullcontext
+from typing import ContextManager, TextIO
 
 import numpy as np
 
@@ -44,15 +45,15 @@ def _layout_for_args(args) -> "NIBBLE.__class__":
     return layout_for(args.max_n)
 
 
-def _open_out(args) -> TextIO:
+def _output(args) -> ContextManager[TextIO]:
     if args.out:
         return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+    return nullcontext(sys.stdout)
 
 
-def _close_out(fh: TextIO) -> None:
-    if fh is not sys.stdout:
-        fh.close()
+def _check_oracle_n(args) -> None:
+    if args.oracle_check and args.max_n > ORACLE_CHECK_MAX_N:
+        raise ValueError(f"--oracle-check supports max-n <= {ORACLE_CHECK_MAX_N}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,7 @@ def cmd_avoid(args) -> int:
     layout = _layout_for_args(args)
     pat = av.PatternSet.parse(args.patterns, layout)
     n = args.max_n
+    _check_oracle_n(args)
     levels: list[np.ndarray] | None = None  # per length m, letters (|S_m|, m)
     if args.engine == "basic" or args.enumerate:
         if args.engine == "lowmem":
@@ -110,8 +112,6 @@ def cmd_avoid(args) -> int:
         counts = av.count_avoiders_lowmem(pat, n)
 
     if args.oracle_check:
-        if n > ORACLE_CHECK_MAX_N:
-            raise ValueError(f"--oracle-check supports max-n <= {ORACLE_CHECK_MAX_N}")
         truth = orc.oracle_avoider_levels(pat, n)
         if counts != [len(truth[m]) for m in range(1, n + 1)]:
             print("oracle-check FAILED: avoider counts disagree", file=sys.stderr)
@@ -123,14 +123,11 @@ def cmd_avoid(args) -> int:
                           file=sys.stderr)
                     return 2
 
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         for m in range(1, n + 1):
             out.write(f"{m},{counts[m - 1]}\n")
             if args.enumerate:
                 _write_level(out, m, levels[m - 1])
-    finally:
-        _close_out(out)
     return 0
 
 
@@ -138,13 +135,10 @@ def cmd_avoid(args) -> int:
 # count
 
 def _write_tally(args, tally: ct.CountTally) -> int:
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("length,hits,multiplicity\n")
         for m, hits, mult in tally.rows():
             out.write(f"{m},{hits},{mult}\n")
-    finally:
-        _close_out(out)
     return 0
 
 
@@ -152,6 +146,7 @@ def cmd_count(args) -> int:
     layout = _layout_for_args(args)
     pat = av.PatternSet.parse(args.patterns, layout)
     n = args.max_n
+    _check_oracle_n(args)
     engine = args.engine
     if engine == "auto":
         engine = "standard" if n <= ct._DENSE_MAX_N else "lowmem"
@@ -165,8 +160,6 @@ def cmd_count(args) -> int:
         tally = ct.count_all(pat, n)
 
     if args.oracle_check:
-        if n > ORACLE_CHECK_MAX_N:
-            raise ValueError(f"--oracle-check supports max-n <= {ORACLE_CHECK_MAX_N}")
         if tally.by_length != orc.oracle_hit_histogram(pat, n):
             print("oracle-check FAILED: hit histogram disagrees", file=sys.stderr)
             return 2
@@ -232,32 +225,14 @@ def cmd_mine(args) -> int:
     rows = sq.mine_rows(sq.enumerate_symmetry_classes(args.pattern_length, args.min_set_size),
                         args.max_n, db, max_shift=args.max_shift,
                         min_overlap=args.min_overlap, progress=progress)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         sq.write_report(rows, out)
-    finally:
-        _close_out(out)
     progress.finish()
     return 0
 
 
 # ---------------------------------------------------------------------------
 # bench
-
-def _bench_oracle(pat, n):
-    from itertools import permutations
-
-    counter = orc.SubseqCounter()
-    counts = []
-    for m in range(1, n + 1):
-        cnt = 0
-        for tup in permutations(range(1, m + 1)):
-            q = PackedPerm.from_letters(tup, pat.layout)
-            if not orc.oracle_contains(q, pat, counter=counter):
-                cnt += 1
-        counts.append(cnt)
-    return counts, counter.examined
-
 
 def cmd_bench(args) -> int:
     layout = _layout_for_args(args)
@@ -278,19 +253,19 @@ def cmd_bench(args) -> int:
             counts = [len(built[m]) for m in range(1, n + 1)]
             work = sum(counts)
         elif algo == "oracle":
-            counts, work = _bench_oracle(pat, n)
+            counter = orc.SubseqCounter()
+            truth = orc.oracle_avoider_levels(pat, n, counter)
+            counts = [len(level) for level in truth.values()]
+            work = counter.examined
         else:
             raise ValueError(f"unknown algorithm {algo!r} "
                              "(choose from basic, fast, lowmem, oracle)")
         elapsed = time.perf_counter() - t0
         rows.append((algo, n, elapsed, work, counts[-1]))
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("algorithm,n,seconds,work,last_level\n")
         for algo, nn, secs, work, last in rows:
             out.write(f"{algo},{nn},{secs:.6f},{work},{last}\n")
-    finally:
-        _close_out(out)
     return 0
 
 

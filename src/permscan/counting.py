@@ -541,14 +541,8 @@ def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> Coun
 def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
                   stats: dict | None) -> CountTally:
     k = pat.k
-    if n < k:
-        if stats is not None:
-            stats["max_live_profile_rows"] = (
-                factorial(n) + (factorial(n - 1) if n >= 2 else 0))
-        return _dense_tally(pat, n, through)
-
     hist: dict[int, np.ndarray] = {}
-    for m, base in _dense_levels(pat, k, through, keep_last=True):
+    for m, base in _dense_levels(pat, min(k, n), through, keep_last=True):
         _bincount_into(hist, m, base[0])
     tables = _DeletionTables()
     live = peak = base[0].size

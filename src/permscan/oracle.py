@@ -15,7 +15,8 @@ subsequences a call examined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Iterator
 
 from .avoiders import PatternSet
 from .permcore import PackedPerm, insert_pos, standardize
@@ -147,7 +148,7 @@ def oracle_count_covincular(p: PackedPerm, pattern: PackedPerm,
 
 
 # ---------------------------------------------------------------------------
-# whole-of-S_n sweeps used by --oracle-check and the test suite
+# whole-of-S_n sweeps: --oracle-check, the test suite and the timed baseline
 
 def hit_census(p: PackedPerm, k: int) -> dict[int, int]:
     """Number of hits of every length-k pattern at once: maps the packed
@@ -164,33 +165,26 @@ def hit_census(p: PackedPerm, k: int) -> dict[int, int]:
     return census
 
 
-def oracle_avoider_levels(pat: PatternSet, n: int) -> dict[int, set[PackedPerm]]:
+def _level(pat: PatternSet, m: int) -> Iterator[PackedPerm]:
+    return (PackedPerm.from_letters(tup, pat.layout)
+            for tup in permutations(range(1, m + 1)))
+
+
+def oracle_avoider_levels(pat: PatternSet, n: int, counter: SubseqCounter | None = None
+                          ) -> dict[int, set[PackedPerm]]:
     """Ground-truth avoiders of lengths 1..n by filtering all of S_<=n."""
-    from itertools import permutations
-
-    layout = pat.layout
-    out: dict[int, set[PackedPerm]] = {}
-    for m in range(1, n + 1):
-        keep = set()
-        for tup in permutations(range(1, m + 1)):
-            q = PackedPerm.from_letters(tup, layout)
-            if not oracle_contains(q, pat):
-                keep.add(q)
-        out[m] = keep
-    return out
+    return {m: {q for q in _level(pat, m) if not oracle_contains(q, pat, counter)}
+            for m in range(1, n + 1)}
 
 
-def oracle_hit_histogram(pat: PatternSet, n: int) -> dict[int, dict[int, int]]:
+def oracle_hit_histogram(pat: PatternSet, n: int, counter: SubseqCounter | None = None
+                         ) -> dict[int, dict[int, int]]:
     """Ground-truth tally {length: {hit count: multiplicity}} over S_<=n."""
-    from itertools import permutations
-
-    layout = pat.layout
     out: dict[int, dict[int, int]] = {}
     for m in range(1, n + 1):
         level: dict[int, int] = {}
-        for tup in permutations(range(1, m + 1)):
-            q = PackedPerm.from_letters(tup, layout)
-            hits = oracle_count_hits(q, pat)
+        for q in _level(pat, m):
+            hits = oracle_count_hits(q, pat, counter)
             level[hits] = level.get(hits, 0) + 1
         out[m] = level
     return out

@@ -38,34 +38,14 @@ FIRST_TERM_N = 5     # sequences start at |S_5|: |S_4| depends only on |Pi|
 # ---------------------------------------------------------------------------
 # the symmetry group
 
-def _compose(f: Callable, g: Callable) -> Callable:
-    return lambda p: f(g(p))
-
-
 def symmetry_group() -> tuple[Callable[[PackedPerm], PackedPerm], ...]:
     """The 8 maps generated by inverse, reverse, and complement (the
-    symmetries of the permutation matrix), identity first."""
-    probe = [PackedPerm.from_letters(t) for t in permutations(range(1, 5))]
-
-    def key(f):
-        return tuple(f(p).word for p in probe)
-
-    identity = lambda p: p
-    elems = {key(identity): identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in (inverse_perm, reverse_perm, complement_perm):
-                h = _compose(g, f)
-                kk = key(h)
-                if kk not in elems:
-                    elems[kk] = h
-                    nxt.append(h)
-        frontier = nxt
-    group = tuple(elems.values())
-    assert len(group) == 8
-    return group
+    symmetries of the permutation matrix), identity first.  Reverse and
+    complement commute and inverse swaps them, so the group is id, r, c,
+    r.c and each of these after inverse."""
+    flips = (lambda p: p, reverse_perm, complement_perm,
+             lambda p: reverse_perm(complement_perm(p)))
+    return flips + tuple(lambda p, f=f: f(inverse_perm(p)) for f in flips)
 
 
 _group = cache(symmetry_group)
@@ -637,8 +617,7 @@ def oeis_match(terms: Sequence[int], db: OeisDb, max_shift: int = 14,
 class MineRow:
     """One symmetry class: its sequence, growth degree (None when growth is
     superpolynomial), whether the degree filter removed it, and the OEIS
-    match for surviving rows.  ``annotation`` is free text for downstream
-    joins (e.g. external solvability filters)."""
+    match for surviving rows."""
 
     patterns: tuple[PackedPerm, ...]
     terms: tuple[int, ...]
@@ -647,7 +626,6 @@ class MineRow:
     filtered: bool
     anum: int | None
     shift: int | None
-    annotation: str = ""
 
 
 def mine_row(patterns: Sequence[PackedPerm], terms: Sequence[int],

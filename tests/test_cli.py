@@ -179,6 +179,24 @@ def test_count_oracle_check(capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("argv,engine", [
+    (["avoid", "--patterns", "231", "--max-n", "9"], "count_avoiders_fast"),
+    (["avoid", "--patterns", "231", "--max-n", "9", "--engine", "lowmem"],
+     "count_avoiders_lowmem"),
+    (["avoid", "--patterns", "231", "--max-n", "9", "--enumerate"], "avoider_rows"),
+    (["count", "--patterns", "1342 2413", "--max-n", "11"], "count_all"),
+    (["count", "--patterns", "123", "--max-n", "12"], "count_all_lowmem"),
+])
+def test_oracle_check_refuses_max_n_before_the_engine(capsys, monkeypatch, argv, engine):
+    def engine_ran(*args, **kwargs):
+        raise AssertionError("the engine ran before --max-n was checked")
+
+    module = cli.av if argv[0] == "avoid" else cli.ct
+    monkeypatch.setattr(module, engine, engine_ran)
+    code, out, err = run_cli(capsys, *argv, "--oracle-check")
+    assert code == 1 and "max-n" in err and out == ""
+
+
 def test_vincular_count(capsys):
     code, out, _ = run_cli(capsys, "vincular-count", "--pattern", "123",
                            "--adjacencies", "0,2", "--max-n", "6")
@@ -298,6 +316,14 @@ def test_bench_format(capsys):
     code, _, err = run_cli(capsys, "bench", "--algos", "nope",
                            "--patterns", "231", "--max-n", "4")
     assert code == 1
+
+
+def test_bench_oracle_work_is_subsequences_examined(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--algos", "oracle",
+                           "--patterns", "2431", "--max-n", "6")
+    assert code == 0
+    algo, n, _, work, last = out.splitlines()[1].split(",")
+    assert (algo, n, work, last) == ("oracle", "6", "10594", "512")
 
 
 def test_usage_errors(capsys):

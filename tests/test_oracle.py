@@ -10,9 +10,11 @@ from permscan.avoiders import PatternSet
 from permscan.oracle import (
     SubseqCounter,
     hit_census,
+    oracle_avoider_levels,
     oracle_contains,
     oracle_count_covincular,
     oracle_count_hits,
+    oracle_hit_histogram,
 )
 from permscan.permcore import PackedPerm, parse_perm, reverse_perm, standardize
 from conftest import all_perms, perms_upto
@@ -89,6 +91,24 @@ def test_counter_instrumentation():
     before = counter.examined
     oracle_contains(parse_perm("18365472"), PatternSet.parse("312"), counter=counter)
     assert counter.examined > before  # accumulates across calls
+
+
+@pytest.mark.parametrize("text", ["231", "2431", "12 321", "1 2413"])
+def test_sweep_counters_sum_the_per_permutation_counters(text):
+    """A counter passed to a whole-of-S_<=n sweep ends at the sum of the
+    counters of the per-permutation calls the sweep is made of."""
+    pat = PatternSet.parse(text)
+    n = 6
+    for sweep, check in ((oracle_avoider_levels, oracle_contains),
+                         (oracle_hit_histogram, oracle_count_hits)):
+        want = 0
+        for p in perms_upto(n):
+            one = SubseqCounter()
+            check(p, pat, counter=one)
+            want += one.examined
+        counter = SubseqCounter()
+        assert sweep(pat, n, counter) == sweep(pat, n)
+        assert counter.examined == want > 0
 
 
 def test_cursor_invariant():
