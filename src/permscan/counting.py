@@ -13,16 +13,15 @@ Engines:
   their max-insertion history (a mixed-radix code), which makes each level a
   dense array; each deletion rewrites only the last digits of the code, so
   the profile step gathers the level below through a small table per
-  (length, rank) and whole levels run as vector operations.  The last
-  level is only tallied, so it is built in cache-sized pieces and never
-  held: the largest array kept is level n-1.
+  (length, rank) and whole levels run as vector operations; P_k, which
+  depends on the last k digits alone, is read off them.  The last level is
+  only tallied, so it is built in cache-sized pieces and never held: the
+  largest arrays kept are level n-1's P_0..P_{k-1}.
 * ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
   traversal of the inclusion tree that keeps profile batches only along one
-  root-to-leaf path.  A node's consecutive children are stepped together,
-  in runs of at most _LOWMEM_RUN = 2^13 hosts (at least one child), each run
-  by the same table-gather step over a contiguous slice of the parent's
-  batch; so the live rows are the path's batches plus one run per level.
-  ``vincular.covincular_count_all`` runs both with a pass-through set.
+  root-to-leaf path, stepping runs of a node's children by the same profile
+  step over a slice of the parent's batch.  ``vincular.covincular_count_all``
+  runs both with a pass-through set.
 * ``_profile_hosts`` - the one hash-table step for streamed hosts: it keeps
   the previous length's profiles in a dict keyed by word, and computes each
   profile only up to the first upfix of the host that is not an upfix of a
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
@@ -186,87 +186,90 @@ def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
                        dtype=np.int32, count=len(words))
 
 
+@cache
 def _deletion_table(m: int, rank: int) -> np.ndarray:
     """T over the suffixes (digits of letters v..m, v = m - rank + 1) of a
     level-m index: the suffix, one level down, left by deleting v."""
     v = m - rank + 1
     rest = np.arange(prod(range(v, m + 1)))
-    digits = []
-    for t in range(m, v - 1, -1):
-        digits.append(rest % t)
-        rest = rest // t
-    p0 = digits.pop()  # insertion position of v, tracked as letters above arrive
+    p0 = rest // prod(range(v + 1, m + 1))  # v's position, tracked as letters above arrive
     T = np.zeros_like(p0)
     for t in range(v + 1, m + 1):
-        c = digits.pop()
+        c = rest // prod(range(t + 1, m + 1)) % t
         T = T * (t - 1) + c - (c > p0)
         p0 = p0 + (c <= p0)
     return T
 
 
-class _DeletionTables(dict):
-    """(m, rank) -> deletion table, built on first use; one per engine call."""
+@cache
+def _top_codes(m: int, j: int) -> np.ndarray:
+    """Over the suffixes (digits of letters m-j+1..m) of a level-m index:
+    the level-j index of those j letters standardized."""
+    rest = np.arange(prod(range(m - j + 1, m + 1)))
+    code = np.zeros_like(rest)
+    pos: list[np.ndarray] = []  # positions of the letters placed so far
+    for s, t in enumerate(range(m - j + 1, m + 1), 1):
+        c = rest // prod(range(t + 1, m + 1)) % t  # c letters precede t
+        code = code * s + sum(p < c for p in pos)
+        pos = [p + (p >= c) for p in pos] + [c]
+    return code
 
-    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
-        table = self[key] = _deletion_table(*key)
-        return table
 
-
-def _gather(src: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
-    """src (indexed one level below m) at each level-m host's deletion."""
-    sub = table.size // m
+def _gather(src: np.ndarray, m: int, rank: int) -> np.ndarray:
+    """src (indexed one level below m) at each level-m host's rank-th deletion."""
+    sub = prod(range(m - rank + 1, m))  # S', the suffixes one level down
     if sub == 1:
         return src.repeat(m)
-    return src.reshape(-1, sub).take(table, axis=1).ravel()
+    return src.reshape(-1, sub).take(_deletion_table(m, rank), axis=1).ravel()
 
 
 def _profile_step(top: int, acc: np.ndarray | None, size: int,
-                  through: frozenset[int], gather, keep: bool = True) -> list[np.ndarray]:
-    """P_top..P_0 of a batch of hosts from acc = P_{top+1} (None for zero):
-    P_i = gather(i) + P_{i+1}, where gather(i) is P_i of each host's
-    (i+1)-st down-deletion, or P_i = P_{i+1} for i in ``through`` (the
-    covincular pass-through case).  Unless ``keep``, only P_0 is returned
-    and each P_{i+1} is freed once P_i is built."""
+                  through: frozenset[int], gather) -> list[np.ndarray]:
+    """P_0..P_top of a batch of ``size`` hosts from acc = P_{top+1}: None
+    for zero, or a period that repeats along the batch and is added by
+    broadcast.  P_i = gather(i) + P_{i+1}, where gather(i) is P_i of each
+    host's (i+1)-st down-deletion, or P_i = P_{i+1} for i in ``through``
+    (the covincular pass-through case)."""
     cur: list[np.ndarray] = [None] * (top + 1)
     for i in range(top, -1, -1):
         if i not in through:
             g = gather(i)
             if acc is not None:
-                g += acc
+                rows = g.reshape(-1, acc.size)
+                rows += acc
             acc = g
-        elif acc is None:
-            acc = np.zeros(size, dtype=np.int32)
-        if keep or i == 0:
-            cur[i] = acc
+        elif acc is None or acc.size < size:  # P_{i+1} over the whole batch
+            acc = np.resize(np.int32(0) if acc is None else acc, size)
+        cur[i] = acc
     return cur
 
 
 def _dense_levels(pat: PatternSet, n: int, through: frozenset[int] = frozenset(),
-                  keep_last: bool = False, align_k: int = 0):
+                  align_k: int = 0):
     """Yield (m, P_arrays) for m = 1..n; P_arrays[i] is P_i over level m in
-    insertion-code order, for i = 0..min(k, m).  Level n holds only P_0
-    (and the membership vector when n <= k) unless ``keep_last``.  Above k
-    it is never held whole: it comes as consecutive pieces (n, [P_0]) of
-    about _CHUNK_HOSTS hosts, cut at whole rows of the rank-(j+1) deletion
-    table, j = min(align_k or k, n-1), so patterns up to length align_k cut
-    it alike; a piece's deletions are a contiguous slice of level n-1."""
+    insertion-code order, for i = 0..m up to level k (P_m is the membership
+    vector) and i = 0..k-1 above, where P_k is read off the top codes.
+    Level n above k is never held whole: it comes as consecutive pieces of
+    about _CHUNK_HOSTS hosts, each a multiple of n!/(n-j-1)!,
+    j = min(align_k or k, n-1), so patterns up to length align_k cut it
+    alike; a piece's deletions are a contiguous slice of level n-1."""
     k = pat.k
-    tables = _DeletionTables()
     prev = [np.zeros(1, dtype=np.int32)]
     for m in range(1, n + 1):
-        base = _membership_vector(pat, m) if m <= k else None
-        keep = keep_last or m < n
+        if m <= k:
+            top = member = _membership_vector(pat, m)
+        else:
+            top = None if k in through else member.take(_top_codes(m, k))
         size = step = factorial(m)
-        if not keep and base is None:
+        if m == n:  # at m <= k one piece: the rows are m! hosts
             rows = prod(range(m - min(align_k or k, m - 1), m + 1))
             step = max(1, _CHUNK_HOSTS // rows) * rows
         for a in range(0, size, step):
             b = min(a + step, size)
-            cur = _profile_step(min(k, m - 1), base, b - a, through,
-                                lambda i: _gather(prev[i][a // m:b // m], tables[m, i + 1], m),
-                                keep=keep)
-            if base is not None:
-                cur.append(base)
+            cur = _profile_step(min(k, m) - 1, top, b - a, through,
+                                lambda i: _gather(prev[i][a // m:b // m], m, i + 1))
+            if m <= k:
+                cur.append(top)
             yield m, cur
         prev = cur
 
@@ -532,7 +535,7 @@ def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> Coun
     live rows are level k plus one run per deeper level along the path, a
     run being at most max(2^13, one child's batch) hosts; the deepest level
     is only tallied.  ``stats`` receives ``max_live_profile_rows`` (a row is
-    one host's k+1 profile values).
+    one host's k profile values P_0..P_{k-1}; P_k is read off its code).
     """
     _check_n(n, pat.layout)
     return _lowmem_tally(pat, n, frozenset(), stats)
@@ -542,9 +545,10 @@ def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
                   stats: dict | None) -> CountTally:
     k = pat.k
     hist: dict[int, np.ndarray] = {}
-    for m, base in _dense_levels(pat, min(k, n), through, keep_last=True):
+    for m, base in _dense_levels(pat, min(k, n), through):
         _bincount_into(hist, m, base[0])
-    tables = _DeletionTables()
+    tops = {M: None if k in through else base[k].take(_top_codes(M, k))
+            for M in range(k + 1, n + 1)}
     live = peak = base[0].size
 
     def visit(m: int, parent: list[np.ndarray]) -> None:
@@ -554,21 +558,16 @@ def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
         # hosts [(p-1)*size, p*size) of the M!/m! below v, so a run of
         # consecutive children is one range [a, b) stepped at once.
         # Deleting one of the top k letters keeps each host's digit p, so it
-        # lands in the parent's rows [a/M, b/M); deleting the (k+1)-st
-        # largest, u's own maximum, drops p and rewrites the digits above,
-        # so the rank-(k+1) table indexes the parent itself.
+        # lands in the parent's rows [a/M, b/M); P_k is read off the last k
+        # digits, which index a child's batch, so tops[M] is one batch long.
         nonlocal live, peak
         M = m + 1 + k
-        top = tables[M, k + 1]
-        size = top.size // (m + 1)
+        size = factorial(M) // factorial(m + 1)
         step = max(1, _LOWMEM_RUN // size) * size
-        for a in range(0, top.size, step):
-            b = min(a + step, top.size)
-            run = _profile_step(
-                k, None, b - a, through,
-                lambda i: (parent[k].take(top[a:b]) if i == k else
-                           _gather(parent[i][a // M:b // M], tables[M, i + 1], M)),
-                keep=M < n)
+        for a in range(0, size * (m + 1), step):
+            b = min(a + step, size * (m + 1))
+            run = _profile_step(k - 1, tops[M], b - a, through,
+                                lambda i: _gather(parent[i][a // M:b // M], M, i + 1))
             _bincount_into(hist, M, run[0])
             live += b - a
             peak = max(peak, live)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -688,12 +688,13 @@ def mine(pattern_length: int, min_size: int, n_max: int, db: OeisDb | None,
 
 
 REPORT_HEADER = "canonical_patterns,terms,degree,oeis_anum,shift"
+_pattern_text = lru_cache(maxsize=1024)(format_perm)  # rows share a few dozen patterns
 
 
 def write_report(rows: Iterable[MineRow], out: TextIO) -> None:
     out.write(REPORT_HEADER + "\n")
     for row in rows:
-        pats = " ".join(format_perm(p) for p in row.patterns)
+        pats = " ".join(_pattern_text(p) for p in row.patterns)
         terms = ";".join(str(t) for t in row.terms)
         if row.degree is not None:
             degree = str(row.degree)

@@ -147,8 +147,8 @@ def covincular_count_all(cov: CovincularPattern, n: int,
     """Tally of covincular hit counts over every permutation of lengths
     1..n, by the dense profile step of ``counting`` with the pass-through
     indices of ``cov`` (dense levels up to n = 11, depth-first batches
-    above).  ``stats['profile_entries']`` is the number of P values
-    the step computes: P_0..P_min(k, m) for every host of every length m."""
+    above).  ``stats['profile_entries']`` counts the recurrence's P values:
+    P_0..P_min(k, m) per host of length m, the top one read off its code."""
     layout = cov.pattern.layout
     _check_n(n, layout)
     pat = PatternSet.build([cov.pattern])
@@ -183,8 +183,8 @@ def covincular_count_set(patterns: Iterable[CovincularPattern], n: int) -> Count
     Covincular profiles do not combine across patterns the way classical
     ones do, so each pattern runs its own dense levels and the
     per-permutation totals are summed before tallying.  Levels below n are
-    held whole, so n is at most 11; every pattern cuts level n into pieces
-    at the rows of the longest pattern's deletion table, so they line up.
+    held whole, so n is at most 11; every pattern cuts level n into the
+    pieces that the longest pattern would, so they line up.
     """
     covs = list(patterns)
     if not covs:
