@@ -49,6 +49,7 @@ from .permcore import (
     PermCapacityError,
     PermLayout,
     delete_down,
+    deletion_chain,
     insert_pos,
     insert_up,
     kill_pos,
@@ -57,7 +58,6 @@ from .permcore import (
     parse_perm,
     unpack,
     upfix,
-    _delete_down_word,
     _scan_upfixes,
 )
 
@@ -220,22 +220,20 @@ def detect_avoider(p: PackedPerm, pat: PatternSet, below: "set[int] | frozenset[
     p avoids iff p is not itself a pattern and deleting each of the
     min(k+1, n) largest letters leaves an avoider.  With ``upfix_cutoff``
     the deletion tests stop once p's upfix can no longer begin any hit;
-    the answer is unchanged.
+    the answer is unchanged.  Costs one O(n) partial inverse, then O(k):
+    the deletions are read off the chain.
     """
     if p.word in pat.words:
         return False
     n = p.length
     limit = min(pat.k + 1, n)
+    inv = PartialInverse.from_perm(p, limit)
     if upfix_cutoff:
-        inv = PartialInverse.from_perm(p)
         matched = _scan_upfixes(n, inv.word, min(pat.k, n), p.layout,
                                 lambda i, st: st in pat.upfix_table(i))
         limit = min(limit, matched + 1)
-    word = p.word
-    for rank in range(1, limit + 1):
-        if _delete_down_word(word, n, rank, p.layout) not in below:
-            return False
-    return True
+    dels = deletion_chain(p.word, n, inv.word, limit, p.layout)
+    return all(d in below for d in dels[1:])
 
 
 def build_avoiders_basic(pat: PatternSet, n: int,

@@ -26,11 +26,11 @@ Engines:
   the previous length's profiles in a dict keyed by word, and computes each
   profile only up to the first upfix of the host that is not an upfix of a
   pattern (everything above is zero and is never needed again), which gives
-  amortized O(1) per host for a single pattern.  Its engines wrap it:
-  ``count_downset`` over any streamed downset, ``count_single_fast`` over
-  the max-insertion stream of S_<=n, ``build_bounded_hits`` over the same
-  stream with the hosts of more than j hits rejected and not extended, and
-  ``vincular.covincular_count_downset`` with a pass-through set.
+  amortized O(1) per host for a single pattern.  Its engines wrap it and
+  share one tally loop, ``_tally``: ``count_downset`` and
+  ``vincular.covincular_count_downset`` (pass-through set) over any streamed
+  downset, ``count_single_fast`` and ``build_bounded_hits`` (hosts of more
+  than j hits rejected, not extended) over the max-insertion stream of S_<=n.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from .permcore import (
     PackedPerm,
     PartialInverse,
     PermLayout,
-    delete_down,
-    delete_down_next,
+    deletion_chain,
     insert_pos,
-    kill_pos,
+    max_insertion_inverses,
     pack,
     _scan_upfixes,
 )
@@ -140,18 +139,17 @@ def _host_profile(p: PackedPerm, k: int, is_pattern: bool,
     top = min(k + 1, n)
     if inv is None or inv.valid_count < top:
         inv = PartialInverse.from_perm(p, top)
-    dels: list[PackedPerm | None] = [None, delete_down(p, 1) if n else None]
-    for r in range(2, top + 1):
-        dels.append(delete_down_next(p, dels[-1], inv, r - 1))
+    dels = deletion_chain(p.word, n, inv.word, top, p.layout)
     for i in range(min(k, n - 1), -1, -1):
         if i in through:
             values[i] = values[i + 1]
             continue
+        q = PackedPerm(dels[i + 1], n - 1, p.layout)
         try:
-            values[i] = lookup(dels[i + 1], i) + values[i + 1]
+            values[i] = lookup(q, i) + values[i + 1]
         except KeyError as exc:
             raise ClosureViolationError(
-                f"missing P_{i} of {dels[i + 1]}: input is not a downset") from exc
+                f"missing P_{i} of {q}: input is not a downset") from exc
     return HitProfile(tuple(values))
 
 
@@ -324,7 +322,6 @@ def _profile_hosts(hosts: Iterable[tuple[int, int, int]], pat: PatternSet,
     """
     k = pat.k
     layout = pat.layout
-    b, mask = layout.bits, layout.mask
     pi_words = pat.words
     upfixes = [pat.upfix_table(i) for i in range(k + 1)]
 
@@ -347,17 +344,7 @@ def _profile_hosts(hosts: Iterable[tuple[int, int, int]], pat: PatternSet,
             g = _scan_upfixes(m, inv_word, min(k, m), layout, is_upfix)
         else:
             g = min(k, m)
-        # the deletion chain: dels[r] is the host with its r-th largest
-        # letter deleted, each one from the last in O(1) via the inverse
-        dels = [0] * (min(g + 1, m) + 1)
-        if m >= 1:
-            d = kill_pos(word, (inv_word >> (b * (m - 1))) & mask, layout)
-            dels[1] = d
-            for r in range(2, len(dels)):
-                vdel = m - r + 1
-                d = insert_pos(d, (inv_word >> (b * vdel)) & mask, vdel, layout)
-                d = kill_pos(d, (inv_word >> (b * (vdel - 1))) & mask, layout)
-                dels[r] = d
+        dels = deletion_chain(word, m, inv_word, min(g + 1, m), layout)
         prof = [0] * (g + 1)
         acc = 0
         for i in range(g, -1, -1):
@@ -386,32 +373,19 @@ def _max_insertion_hosts(layout: PermLayout, k: int, parents: deque[tuple[int, i
     """Yield the host 1, then every max-insertion child of each host the
     consumer appends to ``parents`` (in the order appended), as (word,
     length, inverse word) with the inverse valid in the top k+1 values."""
-    b, mask = layout.bits, layout.mask
     yield pack([1], layout), 1, 1
     while parents:
         word, m, inv_word = parents.popleft()
-        clen = m + 1
-        top = b * m
-        shifts = range(b * max(0, m - k), top, b)  # the top k values' blocks
-        for i in range(1, clen + 1):
-            ci = inv_word
-            for shift in shifts:
-                if (ci >> shift) & mask >= i:
-                    ci += 1 << shift
-            yield insert_pos(word, i, clen, layout), clen, ci | (i << top)
-
-
-def _padded(prof: tuple[int, ...], k: int) -> HitProfile:
-    return HitProfile(prof + (0,) * (k + 2 - len(prof)))
+        for i, ci in enumerate(max_insertion_inverses(inv_word, m, k + 1, layout), 1):
+            yield insert_pos(word, i, m + 1, layout), m + 1, ci
 
 
 def _count_stream(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
                   pat: PatternSet, through: frozenset[int] = frozenset(),
                   emit: Callable[[PackedPerm, HitProfile], None] | None = None,
                   stats: dict | None = None) -> CountTally:
-    """``_profile_hosts`` over (perm, partial inverse) pairs; an inverse
-    shallower than the top k+1 values is recomputed.  ``stats`` receives
-    ``profile_entries``, the number of P values computed."""
+    """``_tally`` of ``_profile_hosts`` over (perm, partial inverse) pairs;
+    an inverse shallower than the top k+1 values is recomputed."""
     k = pat.k
     layout = pat.layout
 
@@ -425,16 +399,38 @@ def _count_stream(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
                 inv = PartialInverse.from_perm(perm, min(m, k + 1))
             yield perm.word, m, inv.word
 
+    return _tally(_profile_hosts(hosts(), pat, through), pat, emit, stats)
+
+
+def _tally(profiles: Iterable[tuple[tuple[int, int, int], tuple[int, ...]]],
+           pat: PatternSet, emit: Callable[[PackedPerm, HitProfile], None] | None = None,
+           stats: dict | None = None) -> CountTally:
+    """The one loop the hash-table engines share: tally each kept host's
+    P_0 and pass it with its profile to ``emit``.  ``stats`` receives
+    ``profile_entries``, the number of P values computed."""
     tally = CountTally({})
     entries = 0
-    for (word, m, _), prof in _profile_hosts(hosts(), pat, through):
+    for (word, m, _), prof in profiles:
         entries += len(prof)
         tally.add(m, prof[0])
         if emit is not None:
-            emit(PackedPerm(word, m, layout), _padded(prof, k))
+            emit(PackedPerm(word, m, pat.layout),
+                 HitProfile(prof + (0,) * (pat.k + 2 - len(prof))))
     if stats is not None:
         stats["profile_entries"] = entries
     return tally
+
+
+def _grown_profiles(pat: PatternSet, n: int, budget: int | None = None,
+                    ) -> Iterator[tuple[tuple[int, int, int], tuple[int, ...]]]:
+    """``_profile_hosts`` over the max-insertion stream of S_<=n, extending
+    every kept host shorter than n."""
+    parents: deque[tuple[int, int, int]] = deque()
+    for host, prof in _profile_hosts(_max_insertion_hosts(pat.layout, pat.k, parents),
+                                     pat, budget=budget):
+        if host[1] < n:
+            parents.append(host)
+        yield host, prof
 
 
 def count_downset(stream: Iterable[tuple[PackedPerm, PartialInverse | None]],
@@ -473,18 +469,14 @@ def build_bounded_hits(pat: PatternSet, n: int, budget: int) -> BoundedHits:
     hosts are extended."""
     if budget < 0:
         raise ValueError("hit budget must be nonnegative")
-    layout = pat.layout
-    _check_n(n, layout)
+    _check_n(n, pat.layout)
     result = BoundedHits(budget, {m: set() for m in range(1, n + 1)}, {})
-    parents: deque[tuple[int, int, int]] = deque()
-    hosts = _max_insertion_hosts(layout, pat.k, parents)
-    for host, prof in _profile_hosts(hosts, pat, budget=budget):
-        word, m, _ = host
-        q = PackedPerm(word, m, layout)
-        result.levels[m].add(q)
-        result.profiles[q] = _padded(prof, pat.k)
-        if m < n:
-            parents.append(host)
+
+    def keep(q: PackedPerm, prof: HitProfile) -> None:
+        result.levels[q.length].add(q)
+        result.profiles[q] = prof
+
+    _tally(_grown_profiles(pat, n, budget), pat, keep)
     return result
 
 
@@ -503,19 +495,7 @@ def count_single_fast(pattern: PackedPerm, n: int,
     """
     pat = PatternSet.build([pattern])
     _check_n(n, pat.layout)
-    tally = CountTally({})
-    entries = 0
-    parents: deque[tuple[int, int, int]] = deque()
-    hosts = _max_insertion_hosts(pat.layout, pat.k, parents)
-    for host, prof in _profile_hosts(hosts, pat):
-        m = host[1]
-        entries += len(prof)
-        tally.add(m, prof[0])
-        if m < n:
-            parents.append(host)
-    if stats is not None:
-        stats["profile_entries"] = entries
-    return tally
+    return _tally(_grown_profiles(pat, n), pat, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A permutation of {1..n} is stored in a single integer, one letter per
 fixed-width bit block, block 1 in the least-significant position.  All other
 modules build on the raw-word helpers here: inserting/removing a letter,
-walking the chain of "delete the i-th largest letter" permutations, keeping
-partial inverses up to date, and incrementally standardizing upfixes (the
-subword formed by the largest i letters, read in position order).
+``deletion_chain`` (the "delete the r-th largest letter" permutations),
+``max_insertion_inverses`` (partial inverses under max-insertion), and
+incrementally standardizing upfixes (the largest i letters in position order).
 
 Words are canonical: blocks above position n are zero, so word equality is
 permutation equality and words can key hash tables directly.
@@ -301,23 +301,35 @@ def _delete_down_word(word: int, n: int, rank: int, layout: PermLayout) -> int:
 
 
 def delete_down_next(p: PackedPerm, prev: PackedPerm, inv: PartialInverse, rank: int) -> PackedPerm:
-    """Step the deletion chain: from prev = p del_rank produce p del_(rank+1).
-
-    Re-inserts letter n-rank at the position the (rank)-th largest letter
-    held in p, then erases the old copy of n-rank; both positions come from
-    the partial inverse, so the step is constant time.
-    """
+    """Step the deletion chain: from prev = p del_rank produce p del_(rank+1)
+    in constant time (one step of ``deletion_chain``)."""
     n = p.length
     if rank + 1 > n:
         raise IndexError(f"deletion rank {rank + 1} out of 1..{n}")
     if inv.valid_count < rank + 1:
         raise ValueError(f"inverse valid for top {inv.valid_count} < {rank + 1} values")
-    layout = p.layout
-    pos_reinsert = get_letter(inv.word, n - rank + 1, layout)
-    pos_kill = get_letter(inv.word, n - rank, layout)
-    word = insert_pos(prev.word, pos_reinsert, n - rank, layout)
-    word = kill_pos(word, pos_kill, layout)
-    return PackedPerm(word, n - 1, layout)
+    word = deletion_chain(prev.word, n, inv.word, rank + 1, p.layout, start=rank)[-1]
+    return PackedPerm(word, n - 1, p.layout)
+
+
+def deletion_chain(word: int, n: int, inv_word: int, depth: int,
+                   layout: PermLayout = NIBBLE, start: int = 0) -> list[int]:
+    """[D_start, ..., D_depth] of a length-n permutation from ``word`` =
+    D_start: D_0 is the permutation and D_r deletes its r-th largest letter.
+    To delete v instead of v+1, put v back where v+1 was and cut v out of
+    its own place; the inverse, valid in the top ``depth`` values, gives
+    both positions, so each step is constant time."""
+    b = layout.bits
+    mask = (1 << b) - 1
+    chain = [word]
+    for v in range(n - start, n - depth, -1):
+        if v < n:  # insert_pos of v where v+1 was, inlined: this is the hot loop
+            s = b * ((inv_word >> (b * v)) & mask) - b
+            word = (word & ((1 << s) - 1)) | (word >> s << s + b) | (v << s)
+        s = b * ((inv_word >> (b * (v - 1))) & mask) - b  # kill_pos of v
+        word = (word & ((1 << s) - 1)) | (word >> s + b << s)
+        chain.append(word)
+    return chain
 
 
 def full_inverse(p: PackedPerm) -> PackedPerm:
@@ -330,25 +342,33 @@ def full_inverse(p: PackedPerm) -> PackedPerm:
 
 def update_inverse(inv: PartialInverse, p: PackedPerm, i: int,
                    keep: int | None = None) -> PartialInverse:
-    """Inverse of p up^i from the inverse of p.
-
-    Positions at or past the insertion point slide right by one; the new
-    maximum records position i.  Only blocks inside the requested validity
-    window are touched, so with keep=k this is O(k) regardless of n.
-    """
+    """Inverse of p up^i from the inverse of p, valid in one more top value
+    (at most ``keep``); one child of ``max_insertion_inverses``."""
     n = p.length
-    target = min(inv.valid_count + 1, n + 1)
-    if keep is not None:
-        target = min(target, keep)
-    b, m = p.layout.bits, p.layout.mask
-    word = inv.word
-    for v in range(n - target + 2, n + 1):
-        shift = b * (v - 1)
-        pos = (word >> shift) & m
-        if pos >= i:
-            word = (word & ~(m << shift)) | ((pos + 1) << shift)
-    word = (word & ~(m << (b * n))) | (i << (b * n))
+    target = min(inv.valid_count + 1, n + 1, n + 1 if keep is None else keep)
+    word = max_insertion_inverses(inv.word, n, target, p.layout)[i - 1]
     return PartialInverse(word, target)
+
+
+def max_insertion_inverses(inv_word: int, n: int, depth: int,
+                           layout: PermLayout = NIBBLE) -> list[int]:
+    """Inverse words of p up^1, ..., p up^(n+1), p of length n, valid in
+    the top ``depth`` values, from p's (canonical, valid in its top
+    depth-1).  Child i records i for the new maximum and adds one to each
+    window block holding a position >= i: what child i-1 added, less the
+    blocks holding i-1.  The n+1 inverses cost O(n + depth) together."""
+    b, mask = layout.bits, layout.mask
+    top = b * n
+    at = [0] * (n + 2)  # at[q]: a one in each window block holding q
+    bump = 0
+    for shift in range(b * max(0, n - depth + 1), top, b):
+        at[(inv_word >> shift) & mask] += 1 << shift
+        bump += 1 << shift
+    out = []
+    for i in range(1, n + 2):
+        out.append((inv_word + bump) | (i << top))
+        bump -= at[i]
+    return out
 
 
 def upfix_standardize_scan(p: PackedPerm, inv: PartialInverse, r: int,

@@ -214,17 +214,14 @@ class SequenceRecord:
             raise ValueError("terms must run from n=5 through n_max")
 
 
-def avoidance_record(patterns: Iterable[PackedPerm], n_max: int,
-                     counter: Callable[[PatternSet, int], list[int]] = count_avoiders_fast,
-                     ) -> SequenceRecord:
+def avoidance_record(patterns: Iterable[PackedPerm], n_max: int) -> SequenceRecord:
     check_mine_args(n_max)
     cls = canonicalize(patterns)
-    _, terms = _class_terms(cls.patterns, n_max, counter)
+    _, terms = _class_terms(cls.patterns, n_max)
     return SequenceRecord(cls, terms, n_max)
 
 
 def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
-                 counter: Callable[[PatternSet, int], list[int]] = count_avoiders_fast,
                  ) -> tuple[tuple[PackedPerm, ...], tuple[int, ...]]:
     """A class with its terms |S_5|..|S_n_max|, counted on the patterns
     in ``layout_for(n_max)`` (rebuilt only if on another layout).
@@ -233,7 +230,7 @@ def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
     pat = PatternSet.build([p if p.layout == layout
                             else PackedPerm.from_letters(p.letters(), layout)
                             for p in patterns])
-    return patterns, tuple(counter(pat, n_max)[FIRST_TERM_N - 1:])
+    return patterns, tuple(count_avoiders_fast(pat, n_max)[FIRST_TERM_N - 1:])
 
 
 def growth_degree(terms: Sequence[int], start_n: int = FIRST_TERM_N,

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from math import comb, factorial
 
 import pytest
@@ -7,6 +8,7 @@ from permscan.avoiders import PatternSet, build_avoiders_basic, enumerate_avoide
 from permscan.counting import (
     ClosureViolationError,
     CountTally,
+    _max_insertion_hosts,
     build_bounded_hits,
     count_all,
     count_all_lowmem,
@@ -16,7 +18,7 @@ from permscan.counting import (
 )
 from permscan.cli import main
 from permscan.oracle import hit_census, oracle_count_hits, oracle_hit_histogram
-from permscan.permcore import NIBBLE, WIDE, PackedPerm, PartialInverse, parse_perm
+from permscan.permcore import NIBBLE, WIDE, PackedPerm, PartialInverse, get_letter, parse_perm
 from conftest import all_perms, max_insertion_stream, random_pattern_sets
 
 
@@ -422,3 +424,31 @@ def test_count_downset_emits_count_profile():
         for p, prof in emitted.items():
             assert count_profile(p, pat, lookup) == prof, (text, str(p))
             assert count_profile(p, pat, lookup, PartialInverse.from_perm(p)) == prof
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_max_insertion_hosts_inverses(layout, k):
+    """Every host the max-insertion stream yields up to n = 7 carries an
+    inverse that agrees with PartialInverse.from_perm in its top k+1
+    values, and the stream covers S_<=7 once each."""
+    from collections import deque
+
+    from permscan.counting import _max_insertion_hosts
+    from permscan.permcore import get_letter
+
+    parents = deque()
+    seen = []
+    for host in _max_insertion_hosts(layout, k, parents):
+        word, m, inv_word = host
+        q = PackedPerm(word, m, layout)
+        want = PartialInverse.from_perm(q, k + 1)
+        for v in range(m - want.valid_count + 1, m + 1):
+            assert get_letter(inv_word, v, layout) == want.position_of(v, layout), \
+                (str(q), k, v)
+        assert inv_word >> (layout.bits * m) == 0, (str(q), k)
+        seen.append(q)
+        if m < 7:
+            parents.append(host)
+    assert sorted(seen, key=lambda p: (p.length, p.letters())) == \
+        [p for m in range(1, 8) for p in all_perms(m, layout)]

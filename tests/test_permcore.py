@@ -14,12 +14,15 @@ from permscan.permcore import (
     complement_perm,
     delete_down,
     delete_down_next,
+    deletion_chain,
     format_perm,
     full_inverse,
+    get_letter,
     insert_up,
     inverse_perm,
     kill_pos,
     layout_for,
+    max_insertion_inverses,
     parse_perm,
     reverse_perm,
     standardize,
@@ -263,3 +266,87 @@ def test_upfix_bitmap_type():
     assert b.size() == 2
     assert b.marked(1) and b.marked(3) and not b.marked(2)
     assert b.rank_below(3) == 1 and b.rank_below(1) == 0 and b.rank_below(5) == 2
+
+
+# ---------------------------------------------------------------------------
+# the raw-word chain and inverse step against the letter-scan references
+
+def _stale(inv_word, n, depth, layout, rng):
+    """inv_word with random positions in the blocks below its top depth
+    values, which the raw-word helpers must neither read nor need."""
+    for v in range(1, n - depth + 1):
+        inv_word |= rng.randint(1, n) << (layout.bits * (v - 1))
+    return inv_word
+
+
+def _check_chain(p, depth, inv_word, want):
+    n, layout = p.length, p.layout
+    chain = deletion_chain(p.word, n, inv_word, depth, layout)
+    assert chain == want[:depth + 1], (str(p), depth)
+    assert all(d >> (layout.bits * max(n - 1, 0)) == 0 for d in chain[1:]), (str(p), depth)
+
+
+def _chain_reference(p):
+    return [p.word] + [delete_down(p, r).word for r in range(1, p.length + 1)]
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+def test_deletion_chain_matches_delete_down_exhaustive(layout):
+    for n in range(0, 8):
+        for p in all_perms(n, layout):
+            want = _chain_reference(p)
+            for depth in range(n + 1):
+                _check_chain(p, depth, PartialInverse.from_perm(p, depth).word, want)
+            inv_word = PartialInverse.from_perm(p).word
+            for start in range(n + 1):
+                assert deletion_chain(want[start], n, inv_word, n, layout, start) == \
+                    want[start:], (str(p), start)
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+def test_deletion_chain_at_capacity(layout):
+    rng = random.Random(layout.capacity)
+    n = layout.capacity
+    for _ in range(40):
+        letters = list(range(1, n + 1))
+        rng.shuffle(letters)
+        p = PackedPerm.from_letters(letters, layout)
+        want = _chain_reference(p)
+        for depth in range(n + 1):
+            inv_word = _stale(PartialInverse.from_perm(p, depth).word, n, depth, layout, rng)
+            _check_chain(p, depth, inv_word, want)
+
+
+def _check_children(p, depth, inv_word):
+    """Each child's inverse agrees with full_inverse in its top
+    min(depth, n+1) values and has no block above its length."""
+    n, layout = p.length, p.layout
+    out = max_insertion_inverses(inv_word, n, depth, layout)
+    assert len(out) == n + 1
+    for i, child_inv in enumerate(out, start=1):
+        want = full_inverse(insert_up(p, i))
+        for v in range(n + 2 - min(depth, n + 1), n + 2):
+            assert get_letter(child_inv, v, layout) == want.letter(v), (str(p), depth, i, v)
+        assert child_inv >> (layout.bits * (n + 1)) == 0, (str(p), depth, i)
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+def test_max_insertion_inverses_match_full_inverse_exhaustive(layout):
+    for n in range(0, 7):
+        for p in all_perms(n, layout):
+            for depth in range(n + 3):
+                _check_children(p, depth, PartialInverse.from_perm(p, max(depth - 1, 0)).word)
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+def test_max_insertion_inverses_at_capacity(layout):
+    rng = random.Random(layout.capacity)
+    n = layout.capacity - 1  # the children fill the layout
+    for _ in range(40):
+        letters = list(range(1, n + 1))
+        rng.shuffle(letters)
+        p = PackedPerm.from_letters(letters, layout)
+        for depth in range(n + 2):
+            valid = max(depth - 1, 0)
+            inv_word = _stale(PartialInverse.from_perm(p, valid).word, n, valid, layout, rng)
+            _check_children(p, depth, inv_word)
