@@ -58,7 +58,6 @@ from .permcore import (
     parse_perm,
     unpack,
     upfix,
-    _scan_upfixes,
 )
 
 _PATTERN_TOKEN = re.compile(r"\[[^\]]*\]|[^\s,]+")
@@ -213,25 +212,18 @@ def _check_n(n: int, layout: PermLayout) -> None:
 # ---------------------------------------------------------------------------
 # plain detection + breadth-first builder
 
-def detect_avoider(p: PackedPerm, pat: PatternSet, below: "set[int] | frozenset[int]",
-                   upfix_cutoff: bool = False) -> bool:
+def detect_avoider(p: PackedPerm, pat: PatternSet, below: "set[int] | frozenset[int]") -> bool:
     """Is p an avoider, given the packed words of all shorter avoiders?
 
     p avoids iff p is not itself a pattern and deleting each of the
-    min(k+1, n) largest letters leaves an avoider.  With ``upfix_cutoff``
-    the deletion tests stop once p's upfix can no longer begin any hit;
-    the answer is unchanged.  Costs one O(n) partial inverse, then O(k):
-    the deletions are read off the chain.
+    min(k+1, n) largest letters leaves an avoider.  Costs one O(n) partial
+    inverse, then O(k): the deletions are read off the chain.
     """
     if p.word in pat.words:
         return False
     n = p.length
     limit = min(pat.k + 1, n)
     inv = PartialInverse.from_perm(p, limit)
-    if upfix_cutoff:
-        matched = _scan_upfixes(n, inv.word, min(pat.k, n), p.layout,
-                                lambda i, st: st in pat.upfix_table(i))
-        limit = min(limit, matched + 1)
     dels = deletion_chain(p.word, n, inv.word, limit, p.layout)
     return all(d in below for d in dels[1:])
 
@@ -414,7 +406,6 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
             if m + 1 == n or tally == 0:
                 return
             words, psis = _advance_level(m, words, psis, pat, layout)
-        return
     letters = np.zeros((1, 0), np.uint8) if rows else None
     numpy_step = False
     for m in range(n):

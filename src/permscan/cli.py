@@ -40,7 +40,7 @@ ORACLE_CHECK_MAX_N = 8
 
 
 def _layout_for_args(args) -> "NIBBLE.__class__":
-    if getattr(args, "wide", False):
+    if args.wide:
         return WIDE
     return layout_for(args.max_n)
 
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1
     try:

@@ -55,8 +55,6 @@ def _search(p: PackedPerm, pat: PatternSet, early_exit: bool,
             trace: list[SubseqCursor] | None) -> int:
     n = p.length
     layout = p.layout
-    if pat.k < 1:
-        return 0
     pos_of = [0] * (n + 2)
     for i, v in enumerate(p.letters(), start=1):
         pos_of[v] = i
@@ -68,8 +66,6 @@ def _search(p: PackedPerm, pat: PatternSet, early_exit: bool,
                chosen: tuple[int, ...]) -> bool:
         nonlocal found
         table = pat.upfix_table(depth + 1)
-        if not table:
-            return False
         lo = floor[depth + 1]
         for v in range(min_value - 1, lo - 1, -1):
             pos = pos_of[v]

@@ -233,31 +233,31 @@ def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
     return patterns, tuple(count_avoiders_fast(pat, n_max)[FIRST_TERM_N - 1:])
 
 
-def growth_degree(terms: Sequence[int], start_n: int = FIRST_TERM_N,
-                  settle_n: int = SETTLE_N) -> int | None:
-    """Polynomial degree d <= 3 of the sequence, or None for faster growth.
+def growth_degree(terms: Sequence[int]) -> int | None:
+    """Polynomial degree d <= 3 of the terms |S_5|, |S_6|, ..., or None for
+    faster growth.
 
-    Degree d means the (d+1)-st finite difference vanishes at every index
-    from settle_n on (early terms may misbehave; only the settled tail
-    counts).  Raises if the sequence is too short to check even degree 0 at
-    settle_n, i.e. shorter than through n = settle_n + 1.
+    Degree d means the (d+1)-st finite difference vanishes at every length
+    from SETTLE_N on (early terms may misbehave; only the settled tail
+    counts).  Raises if the terms are too short to check even degree 0 at
+    SETTLE_N, i.e. shorter than through n = SETTLE_N + 1.
     """
     terms = list(terms)
-    if start_n + len(terms) - 1 < settle_n + 1:
+    if FIRST_TERM_N + len(terms) - 1 < SETTLE_N + 1:
         raise ValueError(
-            f"need terms through n={settle_n + 1} to test growth at n={settle_n}")
+            f"need terms through n={SETTLE_N + 1} to test growth at n={SETTLE_N}")
     for d in range(MAX_DEGREE + 1):
         diff = terms
         for _ in range(d + 1):
             diff = [b - a for a, b in zip(diff, diff[1:])]
-        # diff[j] is the (d+1)-st difference at n = start_n + j
-        tail = [x for j, x in enumerate(diff) if start_n + j >= settle_n]
+        # diff[j] is the (d+1)-st difference at n = FIRST_TERM_N + j
+        tail = diff[SETTLE_N - FIRST_TERM_N:]
         if tail and all(x == 0 for x in tail):
             return d
         if not tail:
             # cannot certify this or any higher degree; growth unknown
             raise ValueError(
-                f"need terms through n={settle_n + d + 1} to test degree {d}")
+                f"need terms through n={SETTLE_N + d + 1} to test degree {d}")
     return None
 
 
@@ -676,12 +676,12 @@ def mine_rows(classes: Iterable[tuple[PackedPerm, ...]], n_max: int,
 
 
 def mine(pattern_length: int, min_size: int, n_max: int, db: OeisDb | None,
-         max_shift: int = 14, min_overlap: int = 8,
-         progress: Callable[[int, float, float], None] | None = None) -> list[MineRow]:
+         max_shift: int = 14, min_overlap: int = 8) -> list[MineRow]:
     """``mine_rows`` over all symmetry classes of pattern sets in
-    S_pattern_length with at least min_size patterns, as a list."""
+    S_pattern_length with at least min_size patterns, as a list, in this
+    process and without progress reports."""
     return list(mine_rows(enumerate_symmetry_classes(pattern_length, min_size), n_max, db,
-                          max_shift=max_shift, min_overlap=min_overlap, progress=progress))
+                          max_shift=max_shift, min_overlap=min_overlap))
 
 
 REPORT_HEADER = "canonical_patterns,terms,degree,oeis_anum,shift"

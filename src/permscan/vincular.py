@@ -119,10 +119,7 @@ def parse_vincular(text: str) -> VincularPattern:
             letters.append(int(ch))
         else:
             raise ValueError(f"bad vincular pattern {text!r}")
-    pattern = PackedPerm.from_letters(letters)
-    if len(letters) in dashes and not text.endswith("-"):
-        raise ValueError(f"bad vincular pattern {text!r}")
-    return VincularPattern(pattern, frozenset(dashes))
+    return VincularPattern(PackedPerm.from_letters(letters), frozenset(dashes))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from permscan.avoiders import (
     ignoring_extension_map,
 )
 from permscan.oracle import hit_census, oracle_contains
-from permscan.permcore import NIBBLE, WIDE, insert_up, parse_perm
+from permscan.permcore import NIBBLE, WIDE, PermCapacityError, insert_up, parse_perm
 from conftest import all_perms, random_pattern_sets
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900]
@@ -61,6 +61,25 @@ def test_pattern_set_basics():
     assert len(PatternSet.parse("123 123")) == 1
 
 
+def test_pattern_set_rejects_mixed_layouts_and_blank_text():
+    with pytest.raises(ValueError, match="^patterns mix word layouts$"):
+        PatternSet.build([parse_perm("12"), parse_perm("213", WIDE)])
+    with pytest.raises(ValueError, match="^no patterns in '  '$"):
+        PatternSet.parse("  ")
+
+
+def test_count_past_nibble_capacity_is_refused():
+    with pytest.raises(PermCapacityError, match="^n=16 exceeds layout capacity 15$"):
+        count_avoiders_fast(PatternSet.parse("231"), 16)
+
+
+def test_ignoring_extension_map_rejects_value_out_of_range():
+    p, pat = parse_perm("213"), PatternSet.parse("123")
+    for value in (0, 4):
+        with pytest.raises(ValueError, match=rf"^ignored value {value} out of 1\.\.3$"):
+            ignoring_extension_map(p, pat, value)
+
+
 def test_pattern_set_bracket_syntax():
     pat = PatternSet.parse("[10 2 1 3 4 5 6 7 8 9] 123")
     assert pat.k == 10
@@ -92,7 +111,8 @@ def test_detect_avoider_figure_examples():
     assert not detect_avoider(parse_perm("1"), PatternSet.parse("1"), set())
 
 
-def test_detect_avoider_upfix_cutoff_equivalent():
+def test_detect_avoider_matches_oracle():
+    # every host of lengths 2..6, avoider or not, on random S_3 sets
     s3 = all_perms(3)
     rng = random.Random(2)
     sets = [PatternSet.build(rng.sample(s3, rng.randint(1, 4))) for _ in range(10)]
@@ -101,8 +121,7 @@ def test_detect_avoider_upfix_cutoff_equivalent():
         for m in range(2, 7):
             below = {p.word for p in levels[m - 1]}
             for p in all_perms(m):
-                assert detect_avoider(p, pat, below) == \
-                    detect_avoider(p, pat, below, upfix_cutoff=True), str(p)
+                assert detect_avoider(p, pat, below) == (not oracle_contains(p, pat)), str(p)
 
 
 def test_build_basic_golden():

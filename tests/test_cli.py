@@ -6,6 +6,7 @@ import pytest
 
 from permscan import cli
 from permscan.avoiders import PatternSet, build_avoiders_basic
+from permscan.counting import CountTally
 from permscan.permcore import format_perm
 from permscan.sequences import OeisDb, mine, write_report
 
@@ -179,6 +180,15 @@ def test_count_oracle_check(capsys):
     assert code == 0 and err == ""
 
 
+def test_count_oracle_check_catches_bad_engine(capsys, monkeypatch):
+    monkeypatch.setattr(cli.ct, "count_all",
+                        lambda pat, n: CountTally({m: {0: 1} for m in range(1, n + 1)}))
+    code, out, err = run_cli(capsys, "count", "--patterns", "132 321",
+                             "--max-n", "5", "--oracle-check")
+    assert code == 2 and out == ""
+    assert err == "oracle-check FAILED: hit histogram disagrees\n"
+
+
 @pytest.mark.parametrize("argv,engine", [
     (["avoid", "--patterns", "231", "--max-n", "9"], "count_avoiders_fast"),
     (["avoid", "--patterns", "231", "--max-n", "9", "--engine", "lowmem"],
@@ -326,6 +336,16 @@ def test_bench_oracle_work_is_subsequences_examined(capsys):
     assert (algo, n, work, last) == ("oracle", "6", "10594", "512")
 
 
+def test_bench_engines_agree_on_work_and_last_level(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--algos", "fast,basic,lowmem",
+                           "--patterns", "2431", "--max-n", "7")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(algo, n) for algo, n, *_ in rows] == [("fast", "7"), ("basic", "7"), ("lowmem", "7")]
+    # Av(2431) is Av(1342) reversed: 1, 2, 6, 23, 103, 512, 2740 members of lengths 1..7
+    assert {(work, last) for *_, work, last in rows} == {("3387", "2740")}
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "avoid", "--patterns", "1x2", "--max-n", "4")
     assert code == 1
@@ -355,3 +375,12 @@ def test_mine_checks_lookup_args_before_reading_the_dump(capsys):
                              "--pattern-length", "3", "--max-n", "10")
     assert code == 1 and out == ""
     assert err.startswith("error: min_overlap") and "No such file" not in err
+
+
+def test_mine_refuses_a_dump_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "dump"
+    path.write_bytes(b"A000001 ,1,2,3,\n# \xff\n")
+    code, out, err = run_cli(capsys, "mine", "--pattern-length", "3", "--max-n", "10",
+                             "--oeis", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position 18: ")

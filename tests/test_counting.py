@@ -256,6 +256,11 @@ def test_bounded_hits_profiles_match_oracle():
         assert prof.p0 == oracle_count_hits(perm, pat)
 
 
+def test_bounded_hits_rejects_negative_budget():
+    with pytest.raises(ValueError, match="^hit budget must be nonnegative$"):
+        build_bounded_hits(PatternSet.parse("21"), 3, -1)
+
+
 def test_single_fast_matches_and_counts_work():
     stats = {}
     tally = count_single_fast(parse_perm("123"), 7, stats)

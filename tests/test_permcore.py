@@ -198,6 +198,14 @@ def test_upfix_scan_stops_at_first_failure():
     assert upfix_standardize_scan(p, inv, 2, lambda i, w: w in table12) == 1
 
 
+def test_upfix_bounds_are_checked():
+    p = parse_perm("213")
+    with pytest.raises(ValueError, match="^inverse valid for top 1 < 3 values$"):
+        upfix_standardize_scan(p, PartialInverse.from_perm(p, 1), 3, lambda i, w: True)
+    with pytest.raises(IndexError, match=r"^upfix size 4 out of 0\.\.3$"):
+        upfix(p, 4)
+
+
 def test_packed_words_canonical():
     # word equality is permutation equality across all of S_<=8
     words = [p.word for p in perms_upto(8)]
@@ -234,6 +242,16 @@ def test_empty_perm_is_valid():
     e = PackedPerm.empty()
     assert e.word == 0 and e.length == 0
     assert insert_up(e, 1) == parse_perm("1")
+
+
+def test_packed_perm_checks_its_fields():
+    with pytest.raises(PermCapacityError, match="^length 16 exceeds layout capacity 15$"):
+        PackedPerm(0, 16, NIBBLE)
+    word = parse_perm("21").word
+    with pytest.raises(ValueError, match="^nonzero blocks above the permutation length$"):
+        PackedPerm(word | 3 << 2 * NIBBLE.bits, 2, NIBBLE)
+    with pytest.raises(IndexError, match=r"^position 0 out of 1\.\.3$"):
+        parse_perm("213").letter(0)
 
 
 def test_symmetry_transforms():

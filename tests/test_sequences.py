@@ -648,6 +648,14 @@ def test_load_without_final_newline_and_empty(tmp_path):
     assert oeis_match([1, 2], OeisDb.load(str(path))) is None
 
 
+def test_load_refuses_a_dump_that_is_not_utf8(tmp_path):
+    path = tmp_path / "dump"
+    path.write_bytes(b"A000001 ,1,2,3,\n# \xff\n")
+    with pytest.raises(UnicodeDecodeError,
+                       match="^'utf-8' codec can't decode byte 0xff in position 18: "):
+        OeisDb.load(str(path))
+
+
 def test_load_a_numbers_beyond_the_plain_form(tmp_path):
     """A-numbers of 19 digits go through the line parser and load; those
     beyond 64 bits are refused, naming the line."""

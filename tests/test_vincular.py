@@ -18,6 +18,7 @@ from permscan.permcore import (
 from permscan.vincular import (
     CovincularPattern,
     UnsupportedConstructionError,
+    VincularPattern,
     build_covincular_avoiders,
     covincular_count_all,
     covincular_count_downset,
@@ -56,6 +57,13 @@ def test_pattern_validation():
     assert cov.is_consecutive()
     assert not CovincularPattern(parse_perm("123"), frozenset({1})).is_consecutive()
     assert str(cov) == "(123,{1,2})"
+
+
+def test_pattern_validation_messages():
+    with pytest.raises(ValueError, match="^covincular pattern needs a nonempty pattern$"):
+        CovincularPattern(PackedPerm.empty(), frozenset())
+    with pytest.raises(ValueError, match=r"^dash positions \[5\] out of 0\.\.4$"):
+        VincularPattern(parse_perm("1324"), frozenset({5}))
 
 
 def test_identity_example():
@@ -283,6 +291,34 @@ def test_covincular_count_all_profile_entries():
     covincular_count_all(cov, 6, stats)
     assert stats["profile_entries"] == sum(factorial(m) * (min(3, m) + 1)
                                            for m in range(1, 7))
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+def test_covincular_count_all_lowmem_route(monkeypatch, layout):
+    """With the dense cut-off at 0, ``covincular_count_all`` takes its
+    low-memory route at every n; its tally equals the dense one and its
+    ``profile_entries`` the dense route's, at n = k, k+1 and 8."""
+    import permscan.vincular as vincular
+    from permscan.counting import _dense_tally
+
+    cases = []
+    for text in ("231", "1324"):
+        pattern = parse_perm(text, layout)
+        k = pattern.length
+        for adj in ({0}, {k}, {0, k}, set(range(1, k))):
+            cov = CovincularPattern(pattern, frozenset(adj))
+            through = frozenset(i for i in range(k + 1) if cov.passes_through(i))
+            for n in (k, k + 1, 8):
+                dense_stats = {}
+                covincular_count_all(cov, n, dense_stats)
+                cases.append((cov, through, n, dense_stats))
+    monkeypatch.setattr(vincular, "_DENSE_MAX_N", 0)
+    for cov, through, n, dense_stats in cases:
+        stats = {}
+        got = covincular_count_all(cov, n, stats)
+        want = _dense_tally(PatternSet.build([cov.pattern]), n, through)
+        assert got.by_length == want.by_length, (str(cov), n)
+        assert stats == dense_stats, (str(cov), n)
 
 
 def test_count_set_needs_dense_levels():
