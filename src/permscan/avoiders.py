@@ -416,8 +416,7 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         if m + 1 == n or tally == 0:
             return
         ranks = k - 1 if m + 2 < n or m + 1 < k else 1 if rows else 0
-        if (not numpy_step and m >= k - 1 and n < 32
-                and (vectorized or len(maps) >= _VECTOR_MIN_LEVEL)):
+        if not numpy_step and m >= k - 1 and (vectorized or len(maps) >= _VECTOR_MIN_LEVEL):
             numpy_step = True
             maps_b, level = np.array(maps_b, np.uint32), _as_arrays(level, k)
         maps_b, level = (_pointer_step if numpy_step else _python_step)(maps_b, level, k, ranks)

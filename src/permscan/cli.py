@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 from typing import ContextManager, TextIO
 
 import numpy as np
@@ -27,7 +28,6 @@ from . import oracle as orc
 from . import sequences as sq
 from . import vincular as vc
 from .permcore import (
-    NIBBLE,
     WIDE,
     PackedPerm,
     PermCapacityError,
@@ -39,10 +39,14 @@ from .permcore import (
 ORACLE_CHECK_MAX_N = 8
 
 
-def _layout_for_args(args) -> "NIBBLE.__class__":
-    if args.wide:
-        return WIDE
-    return layout_for(args.max_n)
+def _parse_for_args(args, parse):
+    """parse(layout) on the layout that holds --max-n, or on WIDE if a
+    pattern is too long for that layout; --wide forces WIDE."""
+    layout = WIDE if args.wide else layout_for(args.max_n)
+    try:
+        return parse(layout)
+    except PermCapacityError:
+        return parse(WIDE)
 
 
 def _output(args) -> ContextManager[TextIO]:
@@ -89,27 +93,32 @@ def _write_level(out: TextIO, m: int, letters: np.ndarray) -> None:
         out.write(np.compress(flat != 0, flat).tobytes().decode("ascii"))
 
 
+def _avoiders(engine: str, pat: av.PatternSet, n: int):
+    """Avoider counts of lengths 1..n by the engine named basic, fast or
+    lowmem, with basic's avoider sets by length (else None).  The engine is
+    looked up when called, so a replaced one is the one that runs."""
+    if engine == "basic":
+        built = av.build_avoiders_basic(pat, n)
+        return [len(built[m]) for m in range(1, n + 1)], built
+    return getattr(av, f"count_avoiders_{engine}")(pat, n), None
+
+
 def cmd_avoid(args) -> int:
-    layout = _layout_for_args(args)
-    pat = av.PatternSet.parse(args.patterns, layout)
-    n = args.max_n
+    pat = _parse_for_args(args, partial(av.PatternSet.parse, args.patterns))
+    layout, n = pat.layout, args.max_n
     _check_oracle_n(args)
+    if args.enumerate and args.engine == "lowmem":
+        raise ValueError("--enumerate requires the basic or fast engine "
+                         "(the low-memory engine never materializes levels)")
     levels: list[np.ndarray] | None = None  # per length m, letters (|S_m|, m)
-    if args.engine == "basic" or args.enumerate:
-        if args.engine == "lowmem":
-            raise ValueError("--enumerate requires the basic or fast engine "
-                             "(the low-memory engine never materializes levels)")
-        if args.engine == "basic":
-            built = av.build_avoiders_basic(pat, n)
+    if args.enumerate and args.engine == "fast":
+        levels = [letters for letters, _ in av.avoider_rows(pat, n)]
+        counts = [len(letters) for letters in levels]
+    else:
+        counts, built = _avoiders(args.engine, pat, n)
+        if built is not None:
             levels = [np.array([p.letters() for p in built[m]], np.uint8).reshape(-1, m)
                       for m in range(1, n + 1)]
-        else:
-            levels = [letters for letters, _ in av.avoider_rows(pat, n)]
-        counts = [len(letters) for letters in levels]
-    elif args.engine == "fast":
-        counts = av.count_avoiders_fast(pat, n)
-    else:
-        counts = av.count_avoiders_lowmem(pat, n)
 
     if args.oracle_check:
         truth = orc.oracle_avoider_levels(pat, n)
@@ -143,8 +152,7 @@ def _write_tally(args, tally: ct.CountTally) -> int:
 
 
 def cmd_count(args) -> int:
-    layout = _layout_for_args(args)
-    pat = av.PatternSet.parse(args.patterns, layout)
+    pat = _parse_for_args(args, partial(av.PatternSet.parse, args.patterns))
     n = args.max_n
     _check_oracle_n(args)
     engine = args.engine
@@ -171,8 +179,7 @@ def cmd_count(args) -> int:
 # vincular-count
 
 def cmd_vincular_count(args) -> int:
-    layout = _layout_for_args(args)
-    pattern = parse_perm(args.pattern, layout)
+    pattern = _parse_for_args(args, partial(parse_perm, args.pattern))
     try:
         adj = frozenset(int(tok) for tok in args.adjacencies.split(",") if tok != "")
     except ValueError:
@@ -235,22 +242,14 @@ def cmd_mine(args) -> int:
 # bench
 
 def cmd_bench(args) -> int:
-    layout = _layout_for_args(args)
-    pat = av.PatternSet.parse(args.patterns, layout)
+    pat = _parse_for_args(args, partial(av.PatternSet.parse, args.patterns))
     n = args.max_n
     rows = []
     for algo in args.algos.split(","):
         algo = algo.strip()
         t0 = time.perf_counter()
-        if algo == "fast":
-            counts = av.count_avoiders_fast(pat, n)
-            work = sum(counts)
-        elif algo == "lowmem":
-            counts = av.count_avoiders_lowmem(pat, n)
-            work = sum(counts)
-        elif algo == "basic":
-            built = av.build_avoiders_basic(pat, n)
-            counts = [len(built[m]) for m in range(1, n + 1)]
+        if algo in ("basic", "fast", "lowmem"):
+            counts, _ = _avoiders(algo, pat, n)
             work = sum(counts)
         elif algo == "oracle":
             counter = orc.SubseqCounter()
@@ -287,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=int, required=True, dest="max_n")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--wide", action="store_true",
-                       help="force the wide word layout (5-bit letters, n up to 25)")
+                       help="force the wide word layout (5-bit letters, n up to "
+                            "25); without it, WIDE is picked when --max-n or a "
+                            "pattern is longer than 15")
         p.add_argument("--threads", type=int, default=1,
                        help="reserved; engines run serially and output never "
                             "depends on this value")

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .avoiders import PatternSet, _check_n
+from .avoiders import PatternSet, _check_n, _insertion_code
 from .permcore import (
     PackedPerm,
     PartialInverse,
@@ -176,12 +176,14 @@ _CHUNK_HOSTS = 1 << 16  # hosts per piece of a last level that is only tallied
 
 
 def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
-    """[word in Pi] for level m <= k, in insertion-code order."""
-    words = [0]
-    for t in range(1, m + 1):
-        words = [insert_pos(w, i, t, pat.layout) for w in words for i in range(1, t + 1)]
-    return np.fromiter((1 if w in pat.words else 0 for w in words),
-                       dtype=np.int32, count=len(words))
+    """[word in Pi] for level m <= k, in insertion-code order: the host with
+    insertion code c_1..c_m has index sum (c_t - 1) * m!/t!."""
+    member = np.zeros(factorial(m), dtype=np.int32)
+    for p in pat.patterns:
+        if p.length == m:
+            code = _insertion_code(p.word, m, pat.layout.bits)
+            member[sum((c - 1) * prod(range(t + 1, m + 1)) for t, c in enumerate(code, 1))] = 1
+    return member
 
 
 @cache

@@ -6,7 +6,9 @@ subsequence always consists of the largest letters of a prospective hit, is
 extended by choosing the next-smaller letter, and is pruned as soon as its
 standardization is no upfix of any pattern (or too few smaller letters
 remain to finish one).  Detection and full counting share this walk; the
-detector exits on the first hit.
+detector exits on the first hit.  The covincular counter and the census of
+all length-k patterns need every k-subsequence, and share the unpruned
+walk ``_subsequences``.
 
 Every function is pure; pass a ``SubseqCounter`` to observe how many partial
 subsequences a call examined.
@@ -117,28 +119,13 @@ def oracle_count_covincular(p: PackedPerm, pattern: PackedPerm,
     bad = [x for x in adjacencies if not 0 <= x <= k]
     if bad:
         raise ValueError(f"adjacency indices {bad} out of 0..{k}")
-    if k > n:
-        return 0
-    letters = p.letters()
-    target = pattern.word
-    layout = p.layout
     count = 0
-    for combo in combinations(range(n), k):
-        vals = [letters[i] for i in combo]
-        if standardize(vals, layout).word != target:
+    for word, vals in _subsequences(p, k):
+        if word != pattern.word:
             continue
-        ranked = sorted(vals)
-        ok = True
-        for x in adjacencies:
-            if x == 0:
-                ok = ranked[0] == 1
-            elif x == k:
-                ok = ranked[-1] == n
-            else:
-                ok = ranked[x] == ranked[x - 1] + 1
-            if not ok:
-                break
-        if ok:
+        r = sorted(vals)
+        if all(r[x] == r[x - 1] + 1 if 0 < x < k else r[0] == 1 if x == 0 else r[-1] == n
+               for x in adjacencies):
             count += 1
     return count
 
@@ -149,16 +136,17 @@ def oracle_count_covincular(p: PackedPerm, pattern: PackedPerm,
 def hit_census(p: PackedPerm, k: int) -> dict[int, int]:
     """Number of hits of every length-k pattern at once: maps the packed
     word of each occurring pattern to its hit count in p."""
-    n = p.length
-    if k > n:
-        return {}
-    letters = p.letters()
-    layout = p.layout
     census: dict[int, int] = {}
-    for combo in combinations(range(n), k):
-        w = standardize([letters[i] for i in combo], layout).word
-        census[w] = census.get(w, 0) + 1
+    for word, _ in _subsequences(p, k):
+        census[word] = census.get(word, 0) + 1
     return census
+
+
+def _subsequences(p: PackedPerm, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every k-subsequence of p, left to right: the packed word of its
+    standardization and its letters."""
+    for vals in combinations(p.letters(), k):
+        yield standardize(vals, p.layout).word, vals
 
 
 def _level(pat: PatternSet, m: int) -> Iterator[PackedPerm]:

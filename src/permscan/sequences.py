@@ -223,10 +223,10 @@ def avoidance_record(patterns: Iterable[PackedPerm], n_max: int) -> SequenceReco
 
 def _class_terms(patterns: tuple[PackedPerm, ...], n_max: int,
                  ) -> tuple[tuple[PackedPerm, ...], tuple[int, ...]]:
-    """A class with its terms |S_5|..|S_n_max|, counted on the patterns
-    in ``layout_for(n_max)`` (rebuilt only if on another layout).
-    Module-level, so that a process pool can run it."""
-    layout = layout_for(n_max)
+    """A class with its terms |S_5|..|S_n_max|, counted on the patterns in
+    the layout that holds n_max and the longest pattern (rebuilt only if on
+    another layout).  Module-level, so that a process pool can run it."""
+    layout = layout_for(max([n_max, *(p.length for p in patterns)]))
     pat = PatternSet.build([p if p.layout == layout
                             else PackedPerm.from_letters(p.letters(), layout)
                             for p in patterns])
