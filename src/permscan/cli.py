@@ -307,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_count)
     p_count.add_argument("--engine", choices=["auto", "standard", "single-fast", "lowmem"],
                          default="auto",
-                         help="auto runs standard (levels below max-n in memory) up "
-                              "to max-n 11 and lowmem above, for any number of "
-                              "patterns; single-fast is the pure-Python "
+                         help="auto runs standard (windows of 2^16 hosts) up to "
+                              "max-n 11 and lowmem (windows of whole tree-node "
+                              "batches, O(n^(k+1)) rows) above, for any number "
+                              "of patterns; single-fast is the pure-Python "
                               "single-pattern reference")
     p_count.add_argument("--histogram", action="store_true",
                          help="accepted for compatibility; histogram rows are "

@@ -9,19 +9,19 @@ increasing length therefore costs O(k) per host.
 
 Engines:
 
-* ``count_all`` - every permutation of lengths 1..n.  Hosts are indexed by
+* ``count_all`` and ``count_all_lowmem`` - every permutation of lengths
+  1..n, by one traversal with two window sizes.  Hosts are indexed by
   their max-insertion history (a mixed-radix code), which makes each level a
   dense array; each deletion rewrites only the last digits of the code, so
   the profile step gathers the level below through a small table per
-  (length, rank) and whole levels run as vector operations; P_k, which
-  depends on the last k digits alone, is read off them.  The last level is
-  only tallied, so it is built in cache-sized pieces and never held: the
-  largest arrays kept are level n-1's P_0..P_{k-1}.
-* ``count_all_lowmem`` - identical tally to ``count_all`` via a depth-first
-  traversal of the inclusion tree that keeps profile batches only along one
-  root-to-leaf path, stepping runs of a node's children by the same profile
-  step over a slice of the parent's batch.  ``vincular.covincular_count_all``
-  runs both with a pass-through set.
+  (length, rank) and runs as vector operations; P_k, which depends on the
+  last k digits alone, is read off them.  Levels up to k are held whole.
+  Above k, a window of a level gathers only from the window one level down
+  whose image it was cut from, so the traversal goes depth first and holds
+  one window per level, never a whole level: ``count_all`` cuts windows of
+  about 2^16 hosts, ``count_all_lowmem`` windows of at most 2^13 hosts of
+  whole tree-node batches, which bounds its live rows by O(n^{k+1}).
+  ``vincular.covincular_count_all`` runs both with a pass-through set.
 * ``_profile_hosts`` - the one hash-table step for streamed hosts: it keeps
   the previous length's profiles in a dict keyed by word, and computes each
   profile only up to the first upfix of the host that is not an upfix of a
@@ -154,7 +154,7 @@ def _host_profile(p: PackedPerm, k: int, is_pattern: bool,
 
 
 # ---------------------------------------------------------------------------
-# dense whole-of-S_<=n engine
+# dense engines: one depth-first traversal of windows
 #
 # Level m is ordered by insertion code: a permutation's index is
 # I(parent) * m + (position of the maximum - 1), so the index is a
@@ -165,14 +165,21 @@ def _host_profile(p: PackedPerm, k: int, is_pattern: bool,
 # counts the suffixes one level down, and a whole level gathers as
 # prev.reshape(-1, S').take(T, axis=1).  Any run of whole rows of the
 # largest table, hosts [a, b), gathers from the slice prev[a/m : b/m] alone
-# (the smaller tables' sizes divide the largest's), which is how the last
-# level is tallied piece by piece.
+# (the smaller tables' sizes divide the largest's).
+#
+# So no level above k is held whole.  A window is a run of hosts [a, b) of
+# level m in whole d-digit rows (the last d digits, m(m-1)...(m-d+1)
+# hosts); it gathers from the window [p, q) of level m-1 whose image
+# [p*m, q*m) it was cut from, which is whole d-digit rows when [p, q) is
+# whole (d-1)-digit rows.  Each window is tallied, its children are cut
+# from its image and stepped, and then it is dropped: the path holds one
+# window per level.
 #
 # Profiles are int32: P_i is at most the hit count, and a host of length
 # n <= 25 has at most 2^n <= 2^25 hits (one per subset of its letters).
 
-_DENSE_MAX_N = 11  # levels below n are held m!-sized; beyond this use count_all_lowmem
-_CHUNK_HOSTS = 1 << 16  # hosts per piece of a last level that is only tallied
+_DENSE_MAX_N = 11  # count_all's largest n; --engine auto runs count_all_lowmem above
+_CHUNK_HOSTS = 1 << 16  # hosts per window of count_all
 
 
 def _membership_vector(pat: PatternSet, m: int) -> np.ndarray:
@@ -245,33 +252,41 @@ def _profile_step(top: int, acc: np.ndarray | None, size: int,
 
 
 def _dense_levels(pat: PatternSet, n: int, through: frozenset[int] = frozenset(),
-                  align_k: int = 0):
-    """Yield (m, P_arrays) for m = 1..n; P_arrays[i] is P_i over level m in
+                  align_k: int = 0, run: int = 0):
+    """Yield (m, P_arrays) over levels m = 1..n; P_arrays[i] is P_i in
     insertion-code order, for i = 0..m up to level k (P_m is the membership
     vector) and i = 0..k-1 above, where P_k is read off the top codes.
-    Level n above k is never held whole: it comes as consecutive pieces of
-    about _CHUNK_HOSTS hosts, each a multiple of n!/(n-j-1)!,
-    j = min(align_k or k, n-1), so patterns up to length align_k cut it
-    alike; a piece's deletions are a contiguous slice of level n-1."""
+    Levels up to k come whole, in order.  Above k they come as windows,
+    depth first: each window before the windows cut from its image, and a
+    level's windows, in order, cover it.  A window is about _CHUNK_HOSTS
+    hosts of whole (K+1)-digit rows, K = align_k or k, so patterns up to
+    length align_k cut alike; with ``run``, it is at most max(run, one
+    batch) hosts of whole k-digit batches, the low-memory cut."""
     k = pat.k
-    prev = [np.zeros(1, dtype=np.int32)]
-    for m in range(1, n + 1):
-        if m <= k:
-            top = member = _membership_vector(pat, m)
-        else:
-            top = None if k in through else member.take(_top_codes(m, k))
-        size = step = factorial(m)
-        if m == n:  # at m <= k one piece: the rows are m! hosts
-            rows = prod(range(m - min(align_k or k, m - 1), m + 1))
-            step = max(1, _CHUNK_HOSTS // rows) * rows
-        for a in range(0, size, step):
-            b = min(a + step, size)
-            cur = _profile_step(min(k, m) - 1, top, b - a, through,
-                                lambda i: _gather(prev[i][a // m:b // m], m, i + 1))
-            if m <= k:
-                cur.append(top)
+    digits, budget = (k, run) if run else ((align_k or k) + 1, _CHUNK_HOSTS)
+    base = [np.zeros(1, dtype=np.int32)]
+    for m in range(1, min(k, n) + 1):
+        member = _membership_vector(pat, m)
+        base = _profile_step(m - 1, member, factorial(m), through,
+                             lambda i: _gather(base[i], m, i + 1)) + [member]
+        yield m, base
+    tops = {m: None if k in through else member.take(_top_codes(m, k))
+            for m in range(k + 1, n + 1)}
+
+    def windows(m: int, parent: list[np.ndarray], p: int, q: int):
+        # parent is P_0..P_{k-1} over hosts [p, q) of level m-1
+        unit = prod(range(max(1, m - digits + 1), m + 1))
+        step = max(1, budget // unit) * unit
+        for a in range(p * m, q * m, step):
+            b = min(a + step, q * m)
+            cur = _profile_step(k - 1, tops[m], b - a, through,
+                                lambda i: _gather(parent[i][a // m - p:b // m - p], m, i + 1))
             yield m, cur
-        prev = cur
+            if m < n:
+                yield from windows(m + 1, cur, a, b)
+
+    if n > k:
+        yield from windows(k + 1, base, 0, factorial(k))
 
 
 def _bincount_into(hist: dict[int, np.ndarray], m: int, hits: np.ndarray) -> None:
@@ -285,19 +300,29 @@ def _histogram_tally(hist: dict[int, np.ndarray]) -> CountTally:
                        for m, counts in sorted(hist.items())})
 
 
-def _dense_tally(pat: PatternSet, n: int,
-                 through: frozenset[int] = frozenset()) -> CountTally:
+def _dense_tally(pat: PatternSet, n: int, through: frozenset[int] = frozenset(),
+                 run: int = 0, stats: dict | None = None) -> CountTally:
+    """Histogram of P_0 over ``_dense_levels``.  ``stats`` receives
+    ``max_live_profile_rows``: the most hosts held at once, level
+    min(k, m) whole plus the path's window at each level above it."""
+    k = pat.k
     hist: dict[int, np.ndarray] = {}
-    for m, cur in _dense_levels(pat, n, through):
+    path: dict[int, int] = {}
+    peak = 0
+    for m, cur in _dense_levels(pat, n, through, run=run):
         _bincount_into(hist, m, cur[0])
+        path[m] = cur[0].size
+        peak = max(peak, sum(path[j] for j in range(min(k, m), m + 1)))
+    if stats is not None:
+        stats["max_live_profile_rows"] = peak
     return _histogram_tally(hist)
 
 
 def count_all(pat: PatternSet, n: int) -> CountTally:
     """Tally of hit counts over every permutation of lengths 1..n."""
     if n > _DENSE_MAX_N:
-        raise ValueError(
-            f"count_all holds whole m! levels below n; use count_all_lowmem for n={n}")
+        raise ValueError(f"count_all stops at n = {_DENSE_MAX_N}; "
+                         f"use count_all_lowmem for n={n}")
     _check_n(n, pat.layout)
     return _dense_tally(pat, n)
 
@@ -501,22 +526,22 @@ def count_single_fast(pattern: PackedPerm, n: int,
 
 
 # ---------------------------------------------------------------------------
-# low-memory engine: depth-first batches over the inclusion tree
+# low-memory engine: the dense traversal in windows of sibling batches
 
-_LOWMEM_RUN = 1 << 13  # hosts per run of sibling batches stepped at once
+_LOWMEM_RUN = 1 << 13  # hosts per window of count_all_lowmem
 
 def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> CountTally:
     """Same tally as ``count_all`` holding O(n^{k+1}) profile rows.
 
     The k-level descendants of a tree node form one dense batch (indexed by
-    the node-relative suffix of the insertion code); a node's batch is
-    computed from its parent's and freed on backtrack.  Sibling batches are
-    consecutive in the index, so a node's children are computed together in
-    runs of at most _LOWMEM_RUN hosts (at least one child each), which
-    keeps per-call overhead off the small batches of short patterns.  The
-    live rows are level k plus one run per deeper level along the path, a
-    run being at most max(2^13, one child's batch) hosts; the deepest level
-    is only tallied.  ``stats`` receives ``max_live_profile_rows`` (a row is
+    the node-relative suffix of the insertion code, k digits), and the
+    batches of a node's children are the image of its own.  The traversal
+    of ``count_all`` runs here in windows of at most _LOWMEM_RUN hosts of
+    whole batches (at least one), which may span the children of several
+    nodes, so the small batches of short patterns do not pay per-call
+    overhead one by one.  The live rows are level k plus one window per
+    deeper level along the path, a window being at most max(2^13, one
+    batch) hosts.  ``stats`` receives ``max_live_profile_rows`` (a row is
     one host's k profile values P_0..P_{k-1}; P_k is read off its code).
     """
     _check_n(n, pat.layout)
@@ -525,41 +550,4 @@ def count_all_lowmem(pat: PatternSet, n: int, stats: dict | None = None) -> Coun
 
 def _lowmem_tally(pat: PatternSet, n: int, through: frozenset[int],
                   stats: dict | None) -> CountTally:
-    k = pat.k
-    hist: dict[int, np.ndarray] = {}
-    for m, base in _dense_levels(pat, min(k, n), through):
-        _bincount_into(hist, m, base[0])
-    tops = {M: None if k in through else base[k].take(_top_codes(M, k))
-            for M in range(k + 1, n + 1)}
-    live = peak = base[0].size
-
-    def visit(m: int, parent: list[np.ndarray]) -> None:
-        # parent is the batch of C^k(v), |v| = m: level m+k of the dense
-        # index below v's prefix.  The children u = v ^ p, p = 1..m+1, have
-        # batches C^k(u) of `size` hosts at level M = m+1+k, and child p is
-        # hosts [(p-1)*size, p*size) of the M!/m! below v, so a run of
-        # consecutive children is one range [a, b) stepped at once.
-        # Deleting one of the top k letters keeps each host's digit p, so it
-        # lands in the parent's rows [a/M, b/M); P_k is read off the last k
-        # digits, which index a child's batch, so tops[M] is one batch long.
-        nonlocal live, peak
-        M = m + 1 + k
-        size = factorial(M) // factorial(m + 1)
-        step = max(1, _LOWMEM_RUN // size) * size
-        for a in range(0, size * (m + 1), step):
-            b = min(a + step, size * (m + 1))
-            run = _profile_step(k - 1, tops[M], b - a, through,
-                                lambda i: _gather(parent[i][a // M:b // M], M, i + 1))
-            _bincount_into(hist, M, run[0])
-            live += b - a
-            peak = max(peak, live)
-            if M < n:
-                for j in range(0, b - a, size):
-                    visit(m + 1, [x[j:j + size] for x in run])
-            live -= b - a
-
-    if n > k:
-        visit(0, base)
-    if stats is not None:
-        stats["max_live_profile_rows"] = peak
-    return _histogram_tally(hist)
+    return _dense_tally(pat, n, through, _LOWMEM_RUN, stats)

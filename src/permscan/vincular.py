@@ -143,9 +143,10 @@ def covincular_count_all(cov: CovincularPattern, n: int,
                          stats: dict | None = None) -> CountTally:
     """Tally of covincular hit counts over every permutation of lengths
     1..n, by the dense profile step of ``counting`` with the pass-through
-    indices of ``cov`` (dense levels up to n = 11, depth-first batches
-    above).  ``stats['profile_entries']`` counts the recurrence's P values:
-    P_0..P_min(k, m) per host of length m, the top one read off its code."""
+    indices of ``cov`` (``count_all``'s windows up to n = 11,
+    ``count_all_lowmem``'s above).  ``stats['profile_entries']`` counts the
+    recurrence's P values: P_0..P_min(k, m) per host of length m, the top
+    one read off its code."""
     layout = cov.pattern.layout
     _check_n(n, layout)
     pat = PatternSet.build([cov.pattern])
@@ -178,17 +179,18 @@ def covincular_count_set(patterns: Iterable[CovincularPattern], n: int) -> Count
     """Tally of total hits of several covincular patterns over S_<=n.
 
     Covincular profiles do not combine across patterns the way classical
-    ones do, so each pattern runs its own dense levels and the
-    per-permutation totals are summed before tallying.  Levels below n are
-    held whole, so n is at most 11; every pattern cuts level n into the
-    pieces that the longest pattern would, so they line up.
+    ones do, so each pattern runs its own dense traversal and the
+    per-permutation totals are summed before tallying.  Every pattern cuts
+    its windows as the longest pattern would, so they line up.  n is at
+    most 11, as for ``count_all``.
     """
     covs = list(patterns)
     if not covs:
         raise ValueError("no patterns given")
     _check_n(n, covs[0].pattern.layout)
     if n > _DENSE_MAX_N:
-        raise ValueError(f"covincular_count_set holds whole m! levels below n; n={n}")
+        raise ValueError("covincular_count_set holds whole m! levels only up to the "
+                         f"longest pattern's length and stops at n = {_DENSE_MAX_N}; n={n}")
     hist: dict[int, np.ndarray] = {}
     per_pattern = [_dense_levels(PatternSet.build([c.pattern]), n, _through(c),
                                  align_k=max(c.k for c in covs))

@@ -108,3 +108,21 @@ def _summed_stream_tally(n):
 def test_covincular_count_set_pieces_line_up(chunk, n):
     """Patterns of lengths 2 and 3 cut the last level at the same places."""
     assert covincular_count_set(COVS, n).by_length == _summed_stream_tally(n)
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+@pytest.mark.parametrize("text", ["123", "1342 2413"])
+def test_no_level_above_k_comes_whole(layout, text):
+    """Above level k, every array _dense_levels yields is one window of at
+    most max(_CHUNK_HOSTS, one (k+1)-digit row) hosts, and each level's
+    windows add up to the whole level."""
+    pat = _on(layout, text)
+    k = pat.k
+    hosts = Counter()
+    for m, cur in counting._dense_levels(pat, 10):
+        if m > k:
+            row = factorial(m) // factorial(m - k - 1)
+            assert {x.size for x in cur} == {cur[0].size}, (text, m)
+            assert cur[0].size <= max(counting._CHUNK_HOSTS, row), (text, m, cur[0].size)
+        hosts[m] += cur[0].size
+    assert hosts == {m: factorial(m) for m in range(1, 11)}
