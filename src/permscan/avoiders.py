@@ -15,11 +15,11 @@ Three engines, all producing the avoiders of each length 1..n:
   search), from the empty permutation on; the recurrence misses only
   children that are themselves patterns, whose bits a walk per pattern
   clears below length k.  A level of fewer than ``_VECTOR_MIN_LEVEL``
-  avoiders is stepped on Python ints, larger ones in numpy.  No word layout
-  bounds the numpy step, so n = 16 counts on the WIDE layout run vectorized
-  too.  It works through its level in blocks of ``_BLOCK`` = 2^13 parents.
-  A count only tallies the maps of its last level (length n-1) and never
-  holds them.
+  avoiders is stepped on Python ints, larger ones in numpy, with 16-bit maps
+  up to n = 16 and 32-bit ones above.  No word layout bounds the numpy step,
+  so n = 16 counts on the WIDE layout run vectorized too.  It works through
+  its level in blocks of ``_BLOCK`` = 2^13 parents.  A count only tallies
+  the maps of its last level (length n-1) and never holds them.
   ``avoider_rows`` lists on the same steps: a level's letters are one
   gather from its parents' rows plus the new maximum, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator
 
@@ -96,13 +96,8 @@ class PatternSet:
         tokens = _PATTERN_TOKEN.findall(text)
         if not tokens:
             raise ValueError(f"no patterns in {text!r}")
-        perms = []
-        for tok in tokens:
-            if tok.startswith("["):
-                perms.append(parse_perm(tok[1:-1].strip(), layout))
-            else:
-                perms.append(parse_perm(tok, layout))
-        return cls.build(perms)
+        return cls.build([parse_perm(tok[1:-1].strip() if tok.startswith("[") else tok, layout)
+                          for tok in tokens])
 
     @property
     def layout(self) -> PermLayout:
@@ -119,9 +114,7 @@ class PatternSet:
                      for p in self.patterns if p.length >= 2)
 
     def upfix_table(self, i: int) -> frozenset[int]:
-        if 1 <= i <= self.k:
-            return self._tables[i - 1]
-        return frozenset()
+        return self._tables[i - 1] if 1 <= i <= self.k else frozenset()
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted({p.length for p in self.patterns}))
@@ -303,7 +296,7 @@ def _advance_level(m: int, words: list[int], psis: list[int], pat: PatternSet,
 # avoiders) took 3x as long, and from 20 up they did not move.
 _VECTOR_MIN_LEVEL = 30
 
-_ONE = np.uint32(1)  # maps are uint32, so the numpy step needs n < 32
+_popcount = partial(np.bitwise_count, signature=(np.uint32, np.uint8))  # its uint16 loop: 2x slower
 
 
 def count_avoiders_fast(pat: PatternSet, n: int,
@@ -389,12 +382,12 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
 
     Yields, for m = 0, 1, ..., ``(tally, maps, letters)``: the extension
     maps of the avoiders of length m (a list of ints before the numpy step,
-    a uint32 array after), ``tally`` = |S_{m+1}| (their popcount total), and
-    with ``rows`` the (|S_m|, m) uint8 letters of the level, else None.
-    Stops after level n-1 or after a level with no children.  Without
-    ``rows`` the last step only tallies its level (once it has no pattern
-    bit to clear), so that level's maps come as None; with ``rows`` it keeps
-    the pointer rank that ``_grow_rows`` reads.
+    after it a uint16 array up to n = 16, else uint32), ``tally`` = |S_{m+1}|
+    (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
+    the level, else None.  Stops after level n-1 or after a level with no
+    children.  Without ``rows`` the last step only tallies its level (once
+    it has no pattern bit to clear), so that level's maps come as None; with
+    ``rows`` it keeps the pointer rank that ``_grow_rows`` reads.
     """
     layout, k = pat.layout, pat.k
     maps_b, level, walks = _seed(pat)
@@ -410,7 +403,7 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
     numpy_step = False
     for m in range(n):
         maps = level[0]
-        tally = (int(np.bitwise_count(maps).sum(dtype=np.int64)) if numpy_step
+        tally = (int(_popcount(maps).sum(dtype=np.int64)) if numpy_step
                  else sum(map(int.bit_count, maps)))
         yield tally, maps, letters
         if m + 1 == n or tally == 0:
@@ -418,7 +411,8 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         ranks = k - 1 if m + 2 < n or m + 1 < k else 1 if rows else 0
         if not numpy_step and m >= k - 1 and (vectorized or len(maps) >= _VECTOR_MIN_LEVEL):
             numpy_step = True
-            maps_b, level = np.array(maps_b, np.uint32), _as_arrays(level, k)
+            dtype = np.uint16 if n <= 16 else np.uint32  # maps below level n have <= n bits
+            maps_b, level = np.array(maps_b, dtype), _as_arrays(level, k, dtype)
         maps_b, level = (_pointer_step if numpy_step else _python_step)(maps_b, level, k, ranks)
         if not ranks:
             yield level, None, None
@@ -487,16 +481,17 @@ def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray,
 
 
 # Pointer levels.  The numpy step keeps no words.  A level of length-m
-# avoiders is (psi, pos, dele): extension maps (uint32), and for r = 1..k-1
-# the position of the r-th largest letter (uint8) and the index in level m-1
-# of the avoider that deleting it leaves (int32; r = 1 is the parent).  The
-# children of a level are stored grouped by parent in increasing insertion
-# position, so child (p, i) sits at off[p] + popcount(psi[p] below bit i-1).
+# avoiders is (psi, pos, dele): extension maps (uint16 up to n = 16, else
+# uint32), and for r = 1..k-1 the position of the r-th largest letter
+# (uint8) and the index in level m-1 of the avoider that deleting it leaves
+# (int32; r = 1 is the parent).  The children of a level are stored grouped
+# by parent in increasing insertion position, so child (p, i) sits at
+# off[p] + popcount(psi[p] below bit i-1).
 # A step builds the children of _BLOCK consecutive parents at a time, so its
 # temporaries are a fixed working set whatever the level's size; only the
 # lookups into the two levels below (their maps and child offsets) span a
 # whole level.  The block size is set by page faults, not by cache: a block
-# allocates about 25 child-sized temporaries per rank, and glibc serves
+# allocates about 15 child-sized temporaries per rank, and glibc serves
 # arrays above its mmap threshold (128 KiB to 32 MiB, adapting) with fresh
 # mappings, or trims them off the heap top when they are freed, so every
 # block faults its working set in again.  On 16 counts at n = 14-15 (2-core
@@ -531,7 +526,7 @@ _POSITIONS = _position_table()
 def _offsets(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Children per avoider, and where each avoider's children start in the
     next level."""
-    width = np.bitwise_count(psi)
+    width = _popcount(psi)
     off = np.zeros(psi.size, np.int64)
     np.cumsum(width[:-1], dtype=np.int64, out=off[1:])  # dtype: no uint64 temporary
     return width, off
@@ -553,9 +548,13 @@ def _children(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shifted(src: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Maps of deletions, re-indexed by insertion position in the host: the
-    positions just before and just after the deleted letter (q) share a bit."""
-    return (src & ((_ONE << q) - _ONE)) | ((src >> (q - 1)) << q)
+    """Deletion maps `src` re-indexed in place by insertion position in the
+    host: the positions just before and after the deleted letter (q) share a bit."""
+    up = src << 1
+    src ^= up
+    src &= (src.dtype.type(1) << q) - 1
+    src ^= up
+    return src
 
 
 def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
@@ -575,11 +574,11 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
     RuntimeError.
     """
     psi, pos, dele = level
-    off_b = _offsets(psi_b)[1]
+    before_b = _offsets(psi_b)[1] - 1  # the index just before each first child
     tally = hi = 0
     if ranks:
-        total = int(np.bitwise_count(psi).sum(dtype=np.int64))
-        out = np.empty(total, np.uint32)
+        total = int(_popcount(psi).sum(dtype=np.int64))
+        out = np.empty(total, psi.dtype)
         new_pos = [np.empty(total, np.uint8) for _ in range(ranks)]
         new_del = [np.empty(total, np.int32) for _ in range(ranks)]
     for a in range(0, psi.size, _BLOCK):
@@ -594,13 +593,14 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
         for r in range(2, k + 1):
             qp = pos[r - 2][blk].take(par)
             g = dele[r - 2][blk].astype(np.intp)
-            src_b = psi_b[g].take(par)
             before = qp < ins
-            sh = ins - before - 1
-            if not ((src_b >> sh) & _ONE).all():
+            # g's map through bit i'-1, where the pointer lands (uint16 1 << 16 is 0)
+            low = (psi.dtype.type(1) << (ins - before)) - 1
+            y = psi_b[g].take(par) & low
+            if not (y > low >> 1).all():
                 raise RuntimeError("deletion pointer lands outside its source map: "
                                    "inconsistent avoider levels")
-            idx = off_b[g].take(par) + np.bitwise_count(src_b & ((_ONE << sh) - _ONE))
+            idx = before_b[g].take(par) + _popcount(y)
             q = qp + ~before
             maps &= _shifted(psi.take(idx), q)
             if r <= ranks:
@@ -609,7 +609,7 @@ def _pointer_step(psi_b: np.ndarray, level, k: int, ranks: int):
         if ranks:
             out[lo:hi] = maps
         else:
-            tally += int(np.bitwise_count(maps).sum(dtype=np.int64))
+            tally += int(_popcount(maps).sum(dtype=np.int64))
     return psi, (out, new_pos, new_del) if ranks else tally
 
 
@@ -657,11 +657,11 @@ def _python_step(psi_b: list[int], level, k: int, ranks: int,
     return psi, (out, new_links) if ranks else tally
 
 
-def _as_arrays(level, k: int):
-    """A level of ``_python_step`` in ``_pointer_step``'s form."""
+def _as_arrays(level, k: int, dtype):
+    """A level of ``_python_step`` in ``_pointer_step``'s form, maps as `dtype`."""
     psi, links = level
     both = np.array(links, np.int64).reshape(len(links), k - 1, 2)
-    return (np.array(psi, np.uint32), [both[:, r, 0].astype(np.uint8) for r in range(k - 1)],
+    return (np.array(psi, dtype), [both[:, r, 0].astype(np.uint8) for r in range(k - 1)],
             [both[:, r, 1].astype(np.int32) for r in range(k - 1)])
 
 

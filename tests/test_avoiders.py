@@ -994,3 +994,26 @@ def test_lowmem_pointer_outside_group_fails_loudly(monkeypatch, text):
     with pytest.raises(RuntimeError, match="deletion pointer"):
         count_avoiders_lowmem(PatternSet.parse(text), 10)
     assert done
+
+
+# Map width: up to n = 16 the numpy step stores extension maps as uint16 (the
+# maps of level n-1 have n bits), from n = 17 on as uint32.  A map that lost
+# its top bit at the switch would change the counts of the longest levels.
+
+@pytest.mark.parametrize("text", ["132 231", "132 4321"])
+def test_map_width_boundary(text):
+    import permscan.avoiders as av
+
+    pat = PatternSet.parse(text, WIDE)
+    counts = {}
+    for n in (15, 16, 17):
+        counts[n] = count_avoiders_fast(pat, n)
+        assert counts[n] == count_avoiders_fast(pat, n, vectorized=False), n
+        held = [maps.dtype for _, maps, _ in av._levels(pat, n, rows=True)
+                if isinstance(maps, np.ndarray)]
+        assert held and set(held) == {np.dtype(np.uint16 if n <= 16 else np.uint32)}, n
+    assert counts[16] == counts[17][:16] and counts[15] == counts[16][:15]
+    rows = {n: list(av.avoider_rows(pat, n))[:15] for n in (16, 17)}
+    for m, ((l16, m16), (l17, m17)) in enumerate(zip(rows[16], rows[17]), start=1):
+        assert m16.dtype == m17.dtype == np.uint32, m
+        assert m16.tobytes() == m17.tobytes() and l16.tobytes() == l17.tobytes(), m
