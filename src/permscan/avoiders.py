@@ -20,8 +20,8 @@ Three engines, all producing the avoiders of each length 1..n:
   so n = 16 counts on the WIDE layout run vectorized too.  It works through
   its level in blocks of ``_BLOCK`` = 2^13 parents.  A count only tallies
   the maps of its last level (length n-1) and never holds them.
-  ``avoider_rows`` lists on the same steps: a level's letters are one
-  gather from its parents' rows plus the new maximum, and
+  ``avoider_rows`` lists on the same steps: a level's letters are its
+  parents' rows with the new maximum at each set bit of their maps, and
   ``enumerate_avoiders_fast`` builds its records from those arrays.
 * ``count_avoiders_lowmem`` - the same pointer steps run as a depth-first
   traversal of the inclusion tree from length k-1, keeping extension maps
@@ -333,15 +333,7 @@ def avoider_rows(pat: PatternSet, n: int,
         if m:
             yield letters, maps
         m += 1
-    # the level above the last one stepped: its maps give the insertion
-    # positions, read _BLOCK parents at a time straight into the output
-    grown = np.empty((int(np.bitwise_count(maps).sum(dtype=np.int64)), m), np.uint8)
-    hi = 0
-    for a in range(0, maps.size, _BLOCK):
-        parent, ins = _children(maps[a:a + _BLOCK])
-        lo, hi = hi, hi + ins.size
-        _grow_rows(letters[a:a + _BLOCK], ins, parent, grown[lo:hi])
-    letters = grown
+    letters = _grow_rows(letters, maps)
     for m in range(m, n + 1):
         yield letters, None if m == n else np.zeros(0, np.uint32)
         letters = np.zeros((0, m + 1), np.uint8)
@@ -383,11 +375,11 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
     Yields, for m = 0, 1, ..., ``(tally, maps, letters)``: the extension
     maps of the avoiders of length m (a list of ints before the numpy step,
     after it a uint16 array up to n = 16, else uint32), ``tally`` = |S_{m+1}|
-    (their popcount total), and with ``rows`` the (|S_m|, m) uint8 letters of
-    the level, else None.  Stops after level n-1 or after a level with no
-    children.  Without ``rows`` the last step only tallies its level (once
-    it has no pattern bit to clear), so that level's maps come as None; with
-    ``rows`` it keeps the pointer rank that ``_grow_rows`` reads.
+    (their popcount total), and with ``rows`` the level's (|S_m|, m) uint8
+    letters, which ``_grow_rows`` grows from level m-1's maps, else None.
+    Stops after level n-1 or after a level with no children.  Without
+    ``rows`` the last step only tallies its level (once it has no pattern
+    bit to clear), so its maps come as None; ``rows`` keeps them for level n.
     """
     layout, k = pat.layout, pat.k
     maps_b, level, walks = _seed(pat)
@@ -420,12 +412,7 @@ def _levels(pat: PatternSet, n: int, vectorized: bool | None = None,
         if walks:
             walks = _walk(walks, maps_b, level[0], m + 1)
         if rows:
-            # the largest letter sits at the insertion position; D_1 is the parent
-            if numpy_step:
-                ins, parent = level[1][0], level[2][0]
-            else:
-                ins, parent = np.array([link[0] for link in level[1]], np.intp).reshape(-1, 2).T
-            letters = _grow_rows(letters, ins, parent)
+            letters = _grow_rows(letters, maps)
 
 
 def _seed(pat: PatternSet):
@@ -465,18 +452,20 @@ def _unpack_rows(words: list[int], m: int, layout: PermLayout) -> np.ndarray:
                     dtype=np.uint8).reshape(len(words), m)
 
 
-def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Letters of a level's children: row `parent` of `letters` with the new
-    maximum inserted at position `ins` (1-based), one child per entry,
-    written into `out` if given."""
-    m = letters.shape[1]
-    src = np.take(letters, parent, axis=0)
-    if out is None:
-        out = np.empty((src.shape[0], m + 1), np.uint8)
-    out[:, 1:] = src
-    np.copyto(out[:, :m], src, where=np.arange(1, m + 1) < ins[:, None])
-    out[np.arange(out.shape[0]), ins - 1] = m + 1
+def _grow_rows(letters: np.ndarray, maps: list[int] | np.ndarray) -> np.ndarray:
+    """Letters of a level's children: each avoider's row with the new
+    maximum inserted at each set bit of its map, by parent then insertion
+    position, read ``_BLOCK`` parents at a time into one array."""
+    m, maps = letters.shape[1], np.asarray(maps, np.uint32)
+    out = np.empty((int(_popcount(maps).sum(dtype=np.int64)), m + 1), np.uint8)
+    hi = 0
+    for a in range(0, maps.size, _BLOCK):
+        parent, ins = _children(maps[a:a + _BLOCK])
+        lo, hi = hi, hi + ins.size
+        src, dst = letters[a:a + _BLOCK].take(parent, axis=0), out[lo:hi]
+        dst[:, 1:] = src
+        np.copyto(dst[:, :m], src, where=np.arange(1, m + 1) < ins[:, None])
+        dst[np.arange(ins.size), ins - 1] = m + 1
     return out
 
 
@@ -502,8 +491,8 @@ def _grow_rows(letters: np.ndarray, ins: np.ndarray, parent: np.ndarray,
 # as numpy casts an int32 index array on every gather; the stored pointers
 # stay int32.  A child's insertion position, the j-th set bit of its
 # parent's map, is read from _POSITIONS.  The last level of a count is only
-# tallied, block by block, and never held; the last level of a listing
-# keeps only rank 1 and is grown into its output in blocks of the same size.
+# tallied, block by block, and never held; a listing grows each level's
+# letters from its parents' maps in blocks of the same size (_grow_rows).
 
 _BLOCK = 1 << 13
 

@@ -15,8 +15,8 @@ Engines:
   dense array; each deletion rewrites only the last digits of the code, so
   the profile step gathers the level below through a small table per
   (length, rank) and runs as vector operations; P_k, which depends on the
-  last k digits alone, is read off them.  Levels up to k are held whole.
-  Above k, a window of a level gathers only from the window one level down
+  last k digits alone, is read off them.  Levels up to k come whole, one
+  window each; above k, a window gathers only from the window one level down
   whose image it was cut from, so the traversal goes depth first and holds
   one window per level, never a whole level: ``count_all`` cuts windows of
   about 2^16 hosts, ``count_all_lowmem`` windows of at most 2^13 hosts of
@@ -256,37 +256,36 @@ def _dense_levels(pat: PatternSet, n: int, through: frozenset[int] = frozenset()
     """Yield (m, P_arrays) over levels m = 1..n; P_arrays[i] is P_i in
     insertion-code order, for i = 0..m up to level k (P_m is the membership
     vector) and i = 0..k-1 above, where P_k is read off the top codes.
-    Levels up to k come whole, in order.  Above k they come as windows,
-    depth first: each window before the windows cut from its image, and a
-    level's windows, in order, cover it.  A window is about _CHUNK_HOSTS
-    hosts of whole (K+1)-digit rows, K = align_k or k, so patterns up to
-    length align_k cut alike; with ``run``, it is at most max(run, one
-    batch) hosts of whole k-digit batches, the low-memory cut."""
+    Levels up to k come whole, one window each (a unit of m!).  Above k
+    they come as windows, depth first: each window before the windows cut
+    from its image, and a level's windows, in order, cover it.  A window is
+    about _CHUNK_HOSTS hosts of whole (K+1)-digit rows, K = align_k or k, so
+    patterns up to length align_k cut alike; with ``run``, it is at most
+    max(run, one batch) hosts of whole k-digit batches, the low-memory cut."""
     k = pat.k
     digits, budget = (k, run) if run else ((align_k or k) + 1, _CHUNK_HOSTS)
-    base = [np.zeros(1, dtype=np.int32)]
-    for m in range(1, min(k, n) + 1):
-        member = _membership_vector(pat, m)
-        base = _profile_step(m - 1, member, factorial(m), through,
-                             lambda i: _gather(base[i], m, i + 1)) + [member]
-        yield m, base
-    tops = {m: None if k in through else member.take(_top_codes(m, k))
-            for m in range(k + 1, n + 1)}
+
+    @cache
+    def top(m: int) -> np.ndarray | None:  # P_min(m, k) of level m, None for zero
+        if m <= k:
+            return _membership_vector(pat, m)
+        return None if k in through else top(k).take(_top_codes(m, k))
 
     def windows(m: int, parent: list[np.ndarray], p: int, q: int):
-        # parent is P_0..P_{k-1} over hosts [p, q) of level m-1
+        # parent is P_0.. of level m-1 over hosts [p, q), the whole level up to k
         unit = prod(range(max(1, m - digits + 1), m + 1))
         step = max(1, budget // unit) * unit
         for a in range(p * m, q * m, step):
             b = min(a + step, q * m)
-            cur = _profile_step(k - 1, tops[m], b - a, through,
+            cur = _profile_step(min(m, k) - 1, top(m), b - a, through,
                                 lambda i: _gather(parent[i][a // m - p:b // m - p], m, i + 1))
+            if m <= k:
+                cur.append(top(m))
             yield m, cur
             if m < n:
                 yield from windows(m + 1, cur, a, b)
 
-    if n > k:
-        yield from windows(k + 1, base, 0, factorial(k))
+    yield from windows(1, [np.zeros(1, dtype=np.int32)], 0, 1)
 
 
 def _bincount_into(hist: dict[int, np.ndarray], m: int, hits: np.ndarray) -> None:

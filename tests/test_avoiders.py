@@ -1017,3 +1017,26 @@ def test_map_width_boundary(text):
     for m, ((l16, m16), (l17, m17)) in enumerate(zip(rows[16], rows[17]), start=1):
         assert m16.dtype == m17.dtype == np.uint32, m
         assert m16.tobytes() == m17.tobytes() and l16.tobytes() == l17.tobytes(), m
+
+
+@pytest.mark.parametrize("layout", [NIBBLE, WIDE], ids=["nibble", "wide"])
+@pytest.mark.parametrize("text, sizes", [("1", [0]), ("12 21", [1, 0]),
+                                         ("123 321", [1, 2, 4, 4, 0])])
+def test_rows_of_a_class_that_dies(layout, text, sizes):
+    """Past the last avoider, avoider_rows yields (0, m) uint8 letters and
+    empty maps; below n the maps are uint32, one per avoider, whose set bits
+    count the next level, and at n they are None."""
+    from permscan.avoiders import avoider_rows
+
+    pat = PatternSet.parse(text, layout)
+    sizes = sizes + [0] * 6
+    for n in range(1, 7):
+        rows = list(avoider_rows(pat, n))
+        assert len(rows) == n, (text, n)
+        for m, (letters, maps) in enumerate(rows, start=1):
+            assert letters.dtype == np.uint8 and letters.shape == (sizes[m - 1], m), (text, n, m)
+            if m == n:
+                assert maps is None, (text, n)
+                continue
+            assert maps.dtype == np.uint32 and maps.shape == (sizes[m - 1],), (text, n, m)
+            assert int(np.bitwise_count(maps).sum()) == sizes[m], (text, n, m)

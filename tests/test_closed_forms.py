@@ -17,6 +17,7 @@ import pytest
 
 from permscan.avoiders import PatternSet, count_avoiders_fast
 from permscan.permcore import NIBBLE, WIDE
+from permscan.sequences import enumerate_symmetry_classes
 
 
 def gessel_1234(n):
@@ -101,3 +102,20 @@ def test_simion_schmidt_s3(size):
         for pats in combinations(S3, size):
             got = count_avoiders_fast(PatternSet.parse(" ".join(pats), layout), 15)
             assert got == [simion_schmidt(pats, n) for n in range(1, 16)], (pats, layout)
+
+
+def test_s4_wilf_classes():
+    """Symmetry classes of one, two and three patterns of S_4 and the
+    distinct avoidance sequences among them through n = 10: 3 of 7
+    singletons (Stankova 1994, West 1990), 38 of 56 pairs (Le 2005) and
+    242 of 317 triples (Callan, Mansour and Shattuck 2017), which first all
+    differ at n = 7, 8 and 9."""
+    classes = {1: [], 2: [], 3: []}
+    for cls in enumerate_symmetry_classes(4, 1):
+        if len(cls) in classes:
+            classes[len(cls)].append(cls)
+    for size, n_classes, n_wilf, apart in [(1, 7, 3, 7), (2, 56, 38, 8), (3, 317, 242, 9)]:
+        seqs = [tuple(count_avoiders_fast(PatternSet.build(cls), 10)) for cls in classes[size]]
+        assert len(seqs) == n_classes, size
+        assert len(set(seqs)) == n_wilf, size
+        assert len({s[:apart - 1] for s in seqs}) < n_wilf == len({s[:apart] for s in seqs}), size
